@@ -39,8 +39,7 @@ san=True)`` or ``--san`` on the workload-running CLI subcommands; then
 
 from __future__ import annotations
 
-from heapq import heappop
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..sim.kernel import Process, Simulator
 
@@ -88,14 +87,16 @@ class SanitizerError(AssertionError):
 
 
 class CheckedSimulator(Simulator):
-    """A :class:`Simulator` whose run loops verify the firing order.
+    """A :class:`Simulator` that verifies the firing order.
 
-    The dispatch is a faithful copy of the kernel's (same integer-opcode
-    switch, same clock updates), with one added block per pop: the
-    ``(when, seq)`` key must strictly increase and never lie in the past.
-    It also keeps a registry of spawned processes so the end-of-run
-    deadlock check can enumerate survivors.  Checks only read and count —
-    the event sequence is identical to the plain kernel's.
+    It has no dispatch loop of its own: its per-record observer hands the
+    kernel's one loop (:meth:`Simulator._drain`) an order check, chained
+    ahead of the flight recorder when one is attached, so every run entry
+    point checks each dispatched record: the ``(when, seq)`` key must
+    strictly increase and never lie in the past.  It also keeps a
+    registry of spawned processes so the end-of-run deadlock check can
+    enumerate survivors.  Checks only read and count — the event sequence
+    is identical to the plain kernel's.
     """
 
     __slots__ = ("san_processes", "order_findings", "_last_when",
@@ -114,6 +115,9 @@ class CheckedSimulator(Simulator):
         return proc
 
     def _check_order(self, record) -> None:
+        # Called as the loop's observer, after the clock update: ``now``
+        # is then ``max(now, when)``, so ``when < now`` still holds
+        # exactly for a record stamped in the past.
         when = record[0]
         seq = record[1]
         if len(self.order_findings) < _MAX_ORDER_FINDINGS:
@@ -131,160 +135,17 @@ class CheckedSimulator(Simulator):
         self._last_when = when
         self._last_seq = seq
 
-    def run(self, until: Optional[float] = None) -> None:
-        calendar = self._calendar
-        pop = heappop
+    def _observer(self):
         check = self._check_order
         recorder = self.recorder
-        if until is None:
-            while calendar:
-                record = pop(calendar)
-                check(record)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                check(record)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-            else:
-                if until > self.now:
-                    self.now = until
-        self._raise_unhandled()
+        if recorder is None:
+            return check
+        note = recorder.note_event
 
-    def run_window(self, horizon: float) -> int:
-        calendar = self._calendar
-        pop = heappop
-        check = self._check_order
-        recorder = self.recorder
-        count = 0
-        while calendar:
-            when = calendar[0][0]
-            if when >= horizon:
-                break
-            record = pop(calendar)
+        def check_then_note(record) -> None:
             check(record)
-            count += 1
-            if when > self.now:
-                self.now = when
-            if recorder is not None:
-                recorder.note_event(record)
-            kind = record[2]
-            target = record[3]
-            if kind == 0:
-                target._process()
-            elif kind == 1:
-                target(record[4])
-            elif kind == 2:
-                target._resume(record[4], None)
-            elif kind == 3:
-                target._resume(None, record[4])
-            else:
-                target()
-        self._raise_unhandled()
-        return count
-
-    def run_process(self, generator, name: str = "",
-                    until: Optional[float] = None) -> Any:
-        proc = self.spawn(generator, name=name)
-        calendar = self._calendar
-        pop = heappop
-        check = self._check_order
-        recorder = self.recorder
-        if until is None:
-            while calendar and not proc.triggered:
-                record = pop(calendar)
-                check(record)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar and not proc.triggered:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                check(record)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        self._raise_unhandled()
-        if not proc.triggered:
-            if until is not None:
-                if until > self.now:
-                    self.now = until
-                return None
-            from ..sim.kernel import SimulationError
-            raise SimulationError(
-                "process %r deadlocked: calendar empty at t=%s"
-                % (proc.name, self.now)
-            )
-        if proc.ok is False:
-            proc.defused = True
-            raise proc.value
-        return proc.value
+            note(record)
+        return check_then_note
 
 
 class TransportSan:

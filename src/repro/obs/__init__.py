@@ -77,8 +77,6 @@ from .telemetry import (
     merge_rollups,
     merge_snapshots,
 )
-# render_timeline_diff is re-exported from .explain above (its new
-# home); repro.obs.export keeps a deprecated wrapper of the same name.
 from .export import (
     chrome_trace,
     format_op_summary,

@@ -81,7 +81,7 @@ _RESOURCE_FIELDS = ("utilization", "mean_queue", "mean_wait_s",
 
 # Calendar-record kinds, mirroring the numeric constants of
 # repro.sim.kernel (recorder rings store the raw int; dumps decode it).
-_KIND_NAMES = ("event", "call1", "resume", "throw", "call")
+_KIND_NAMES = ("event", "call1", "resume", "throw")
 
 
 # -- flight recorder ----------------------------------------------------------
@@ -712,7 +712,7 @@ def write_explain_html(path: str, report: Dict[str, Any],
         handle.write(render_explain_html(report, title=title))
 
 
-# -- timeline diff (folded in from repro.obs.export) --------------------------
+# -- timeline diff ------------------------------------------------------------
 
 
 def render_timeline_diff(tracer_a: Any, label_a: str,
@@ -724,8 +724,7 @@ def render_timeline_diff(tracer_a: Any, label_a: str,
     the traces share a t=0; each line lands in the left or right column by
     origin.  ``limit`` truncates to the first N messages per side
     (0 = everything).  This is the message-level companion of
-    :func:`explain_runs` (and the former home of
-    ``repro.obs.export.render_timeline_diff``, which now delegates here).
+    :func:`explain_runs`.
     """
     def rows(tracer: Any, side: int):
         msgs = tracer.messages[:limit] if limit else tracer.messages

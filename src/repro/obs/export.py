@@ -14,10 +14,7 @@ Three output formats, matching the three observation tools of the paper:
   counters on a zoomable timeline.
 
 Plus a textual renderer used by the CLI and the examples:
-:func:`render_span_tree` (causal tree of one or more root spans).  The
-side-by-side :func:`render_timeline_diff` moved to
-:mod:`repro.obs.explain` with the rest of the diff tooling; the name
-here survives as a deprecated wrapper.
+:func:`render_span_tree` (causal tree of one or more root spans).
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "render_span_tree",
-    "render_timeline_diff",
 ]
 
 # Stable process ids for the three Chrome-trace tracks.
@@ -259,23 +255,3 @@ def render_span_tree(tracer: Tracer, roots: Optional[Sequence[Span]] = None,
     for root in roots:
         walk(root, 0)
     return "\n".join(lines)
-
-
-def render_timeline_diff(tracer_a: Tracer, label_a: str,
-                         tracer_b: Tracer, label_b: str,
-                         limit: int = 0) -> str:
-    """Deprecated alias of :func:`repro.obs.explain.render_timeline_diff`.
-
-    The side-by-side timeline now lives with the rest of the diff
-    tooling in :mod:`repro.obs.explain` (one diff entry point); this
-    wrapper delegates verbatim and will be removed in a future release.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.obs.export.render_timeline_diff moved to "
-        "repro.obs.explain.render_timeline_diff; import it from there",
-        DeprecationWarning, stacklevel=2)
-    from .explain import render_timeline_diff as impl
-
-    return impl(tracer_a, label_a, tracer_b, label_b, limit=limit)

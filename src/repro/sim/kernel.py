@@ -21,6 +21,18 @@ unique, so heap comparisons never reach ``kind`` — the firing order is
 exactly the ``(when, seq)`` contract the experiments rely on.  All
 per-event classes use ``__slots__``.
 
+One loop, :meth:`Simulator._drain`, dispatches every record.  The run
+entry points differ only in where they stop, so each one hands the loop
+a *strict* horizon — ``math.inf`` for an unbounded run, the float just
+above an inclusive ``until``, the window edge itself for
+:meth:`Simulator.run_window` — plus a process whose completion also
+stops it, and sets the clock itself afterwards.  The loop pops first
+and compares afterwards, pushing the one overshooting record back:
+keys are unique, so the push-back changes no later pop order, and a
+drain pays it once, whereas peeking at ``calendar[0]`` before every pop
+costs an index per record.  The per-record observer (flight recorder,
+sanitizer order check) is looked up once per drain.
+
 Example
 -------
 >>> sim = Simulator()
@@ -35,6 +47,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -56,7 +69,6 @@ _KIND_EVENT = 0    # target: Event      -> target._process()
 _KIND_CALL1 = 1    # target: callable   -> target(payload)
 _KIND_RESUME = 2   # target: Process    -> target._resume(payload, None)
 _KIND_THROW = 3    # target: Process    -> target._resume(None, payload)
-_KIND_CALL = 4     # target: callable   -> target()
 
 # Sentinel yielded by Simulator.hold(): the resume record is already on
 # the calendar, so Process._resume has nothing to subscribe to.
@@ -155,6 +167,11 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
         return "<%s %s at t=%s>" % (type(self).__name__, state, self.sim.now)
+
+
+# The stop process of drains that stop only at their horizon or an empty
+# calendar: nothing ever triggers it.
+_NEVER = Event(None)
 
 
 class Timeout(Event):
@@ -332,10 +349,13 @@ class Simulator:
         self._sequence = 0
         self._unhandled: List[Event] = []
         self._active_process: Optional["Process"] = None
-        # Opt-in flight recorder (repro.obs.explain.FlightRecorder); the
-        # run loops note every popped record when one is attached.  The
-        # recorder observes and never schedules, so attaching one leaves
-        # the event sequence unchanged.
+        # Opt-in per-record hook (repro.obs.explain.FlightRecorder, or any
+        # object with ``note_event(record)``).  _drain looks up its
+        # observer once per call through _observer(), which subclasses
+        # override to chain their own checks, so a hook attached while a
+        # run is in progress takes effect at the next run call.  Observers
+        # never schedule, so attaching one leaves the event sequence
+        # unchanged.
         self.recorder: Optional[Any] = None
 
     # -- public API -----------------------------------------------------------
@@ -452,87 +472,23 @@ class Simulator:
         before it).  Returns the number of records dispatched, which
         the sharded driver aggregates into per-shard event rates.
         """
-        calendar = self._calendar
-        pop = heappop
-        recorder = self.recorder
-        count = 0
-        while calendar:
-            when = calendar[0][0]
-            if when >= horizon:
-                break
-            record = pop(calendar)
-            count += 1
-            if when > self.now:
-                self.now = when
-            if recorder is not None:
-                recorder.note_event(record)
-            kind = record[2]
-            target = record[3]
-            if kind == 0:
-                target._process()
-            elif kind == 1:
-                target(record[4])
-            elif kind == 2:
-                target._resume(record[4], None)
-            elif kind == 3:
-                target._resume(None, record[4])
-            else:
-                target()
-        self._raise_unhandled()
-        return count
+        # Every calendar push bumps _sequence, so pushes minus records
+        # still queued counts the records dispatched so far.
+        before = self._sequence - len(self._calendar)
+        self._drain(horizon, _NEVER)
+        return self._sequence - len(self._calendar) - before
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the calendar empties or the clock reaches ``until``."""
-        calendar = self._calendar
-        pop = heappop
-        recorder = self.recorder
-        if until is None:
-            while calendar:
-                record = pop(calendar)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-            else:
-                if until > self.now:
-                    self.now = until
-        self._raise_unhandled()
+        """Run until the calendar empties or the clock reaches ``until``.
+
+        ``until`` is inclusive: records stamped exactly ``until`` fire,
+        later ones stay on the calendar, and the clock is left at
+        ``until``.  An ``until`` before the current clock raises
+        :class:`SimulationError`.
+        """
+        self._drain(self._horizon(until), _NEVER)
+        if until is not None:
+            self.now = until
 
     def run_process(self, generator: Generator, name: str = "",
                     until: Optional[float] = None) -> Any:
@@ -548,58 +504,12 @@ class Simulator:
         events stay on the calendar, and ``None`` is returned (the
         deadlock check only applies to unbounded runs).
         """
+        horizon = self._horizon(until)
         proc = self.spawn(generator, name=name)
-        calendar = self._calendar
-        pop = heappop
-        recorder = self.recorder
-        if until is None:
-            while calendar and not proc.triggered:
-                record = pop(calendar)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar and not proc.triggered:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        self._raise_unhandled()
+        self._drain(horizon, proc)
         if not proc.triggered:
             if until is not None:
-                if until > self.now:
-                    self.now = until
+                self.now = until
                 return None
             raise SimulationError(
                 "process %r deadlocked: calendar empty at t=%s" % (proc.name, self.now)
@@ -611,23 +521,58 @@ class Simulator:
 
     # -- internal -------------------------------------------------------------
 
-    def _schedule_call(self, call: Callable[[], None], delay: float = 0.0) -> None:
-        """Schedule a zero-argument callable (compatibility entry point)."""
-        self._sequence = seq = self._sequence + 1
-        heappush(self._calendar, (self.now + delay, seq, _KIND_CALL, call, None))
-
     def _schedule_call1(self, call: Callable[[Any], None], arg: Any,
                         delay: float = 0.0) -> None:
         """Schedule ``call(arg)`` without allocating a closure."""
         self._sequence = seq = self._sequence + 1
         heappush(self._calendar, (self.now + delay, seq, _KIND_CALL1, call, arg))
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._sequence = seq = self._sequence + 1
-        heappush(self._calendar, (self.now + delay, seq, _KIND_EVENT, event, None))
+    def _horizon(self, until: Optional[float]) -> float:
+        """The strict horizon equivalent to an inclusive ``until``."""
+        if until is None:
+            return math.inf
+        if until < self.now:
+            raise SimulationError(
+                "run until %r is in the past (now=%r)" % (until, self.now))
+        return math.nextafter(until, math.inf)
 
-    def _record_failure(self, event: Event) -> None:
-        self._unhandled.append(event)
+    def _observer(self) -> Optional[Callable[[Tuple[Any, ...]], None]]:
+        """The per-record hook :meth:`_drain` calls, or ``None``."""
+        recorder = self.recorder
+        return None if recorder is None else recorder.note_event
+
+    def _drain(self, horizon: float, proc: Event) -> None:
+        """The one dispatch loop behind every run entry point.
+
+        Dispatches records in ``(when, seq)`` order until the calendar
+        empties, ``proc`` triggers, or the next record is stamped at or
+        after ``horizon`` (that record stays on the calendar).  The clock
+        follows the dispatched records and never moves backwards; the
+        observer sees each record after the clock update, before its
+        target runs.
+        """
+        calendar = self._calendar
+        pop = heappop
+        observe = self._observer()
+        while calendar and not proc.triggered:
+            record = pop(calendar)
+            when, _, kind, target, payload = record
+            if when >= horizon:
+                heappush(calendar, record)
+                break
+            if when > self.now:
+                self.now = when
+            if observe is not None:
+                observe(record)
+            if kind == 0:
+                target._process()
+            elif kind == 1:
+                target(payload)
+            elif kind == 2:
+                target._resume(payload, None)
+            else:
+                target._resume(None, payload)
+        self._raise_unhandled()
 
     def _raise_unhandled(self) -> None:
         if not self._unhandled:

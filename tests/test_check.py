@@ -409,7 +409,8 @@ def test_s403_event_order_violation_detected():
     stack.run(_tiny_workload(stack.client), name="tiny")
     assert stack.sim.now > 0
     # Corrupt the calendar: a record stamped before the current clock.
-    heapq.heappush(stack.sim._calendar, (0.0, -1, 4, lambda: None, None))
+    heapq.heappush(stack.sim._calendar,
+                   (0.0, -1, 1, lambda _arg: None, None))
     # Bounded run: the stack's periodic daemons never let the calendar
     # drain, so an unbounded run() would spin forever.
     stack.sim.run(until=stack.sim.now + 1.0)
@@ -420,7 +421,7 @@ def test_s403_event_order_violation_detected():
 def test_s404_lost_message_detected():
     stack = make_stack("nfsv3", san=True)
     stack.transport.send_from_client(Message("NULL"))
-    stack.sim.run(until=0.0)   # truncate before the delivery fires
+    stack.sim.run(until=stack.sim.now)   # truncate before the delivery fires
     findings = stack.check(strict=False)
     assert any(f.code == "S404" and "in flight" in f.message
                for f in findings)
@@ -489,50 +490,78 @@ def test_every_stack_kind_runs_sanitized(kind):
     assert stack.check() == []
 
 
-def test_checked_simulator_matches_plain_kernel():
+def _pinger(sim, log, tag):
+    for step in range(6):
+        yield sim.timeout(0.5)
+        log.append((tag, step, sim.now))
+    return sim.now
+
+
+# The five run entry points.  Each drives a simulator on from its
+# current state with one more process, spawned or awaited.
+def _run(sim, proc):
+    sim.spawn(proc, name="b")
+    sim.run()
+
+
+def _run_until(sim, proc):
+    sim.spawn(proc, name="b")
+    sim.run(until=sim.now + 1.7)
+
+
+def _run_process(sim, proc):
+    return sim.run_process(proc, name="b")
+
+
+def _run_process_until(sim, proc):
+    return sim.run_process(proc, name="b", until=sim.now + 1.2)
+
+
+def _run_window(sim, proc):
+    sim.spawn(proc, name="b")
+    start = sim.now
+    return [sim.run_window(start + horizon) for horizon in (1.1, 2.1, 9.9)]
+
+
+@pytest.mark.parametrize("drive, recorded", [
+    (_run, False),
+    (_run_until, False),
+    (_run_process, False),
+    (_run_process_until, False),
+    (_run_window, False),
+    (_run_process, True),
+], ids=["run", "run_until", "run_process", "run_process_until",
+        "run_window", "run_process_recorder"])
+def test_checked_simulator_matches_plain_kernel(drive, recorded):
+    """Every run entry point dispatches the same events under the
+    sanitizer, and flags a record forged in the past (S403) -- also with
+    a flight recorder attached, which must record that record too."""
+    from repro.obs.explain import FlightRecorder
     from repro.sim import Simulator
 
-    def pinger(sim, log, tag):
-        for step in range(5):
-            yield sim.timeout(0.5)
-            log.append((tag, step, sim.now))
-
-    logs = []
+    results = []
     for sim_cls in (Simulator, CheckedSimulator):
         sim = sim_cls()
+        if recorded:
+            sim.recorder = FlightRecorder(sim)
         log = []
-        sim.spawn(pinger(sim, log, "a"), name="a")
-        sim.spawn(pinger(sim, log, "b"), name="b")
-        sim.run()
-        logs.append(log)
-    assert logs[0] == logs[1]
+        sim.spawn(_pinger(sim, log, "a"), name="a")
+        returned = drive(sim, _pinger(sim, log, "b"))
+        results.append((log, returned, sim.now, sim._sequence))
+    assert results[0] == results[1]
+    assert sim.order_findings == []
+    assert sim.now > 0.0
+    heapq.heappush(sim._calendar, (0.0, -1, 1, lambda _arg: None, None))
+    drive(sim, _pinger(sim, [], "c"))
+    assert any(f.code == "S403" for f in sim.order_findings)
+    if recorded:
+        assert any(event[:3] == (0.0, -1, 1)
+                   for event in sim.recorder.events)
 
 
 def test_finding_equality():
     assert Finding("S401", "x") == Finding("S401", "x")
     assert Finding("S401", "x") != Finding("S402", "x")
-
-
-def test_checked_run_window_matches_plain_kernel():
-    from repro.sim import Simulator
-
-    def pinger(sim, log, tag):
-        for step in range(6):
-            yield sim.timeout(0.5)
-            log.append((tag, step, sim.now))
-
-    logs = []
-    for sim_cls in (Simulator, CheckedSimulator):
-        sim = sim_cls()
-        log = []
-        sim.spawn(pinger(sim, log, "a"), name="a")
-        sim.spawn(pinger(sim, log, "b"), name="b")
-        counts = [sim.run_window(horizon) for horizon in (1.1, 2.1, 9.9)]
-        log.append(tuple(counts))
-        logs.append(log)
-    assert logs[0] == logs[1]
-    checked = CheckedSimulator()
-    assert checked.order_findings == []
 
 
 def test_checked_run_window_flags_order_regression():

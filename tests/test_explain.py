@@ -20,7 +20,6 @@ The engine's contracts, each asserted here:
 from __future__ import annotations
 
 import json
-import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -34,7 +33,6 @@ from repro.obs.explain import (
     format_explain,
     format_explain_json,
     render_explain_html,
-    render_timeline_diff,
     run_side,
     side_from_bench,
 )
@@ -175,7 +173,7 @@ def test_flight_recorder_rings_are_bounded():
 
 def test_flight_recorder_names_fallbacks():
     recorder = FlightRecorder(SimpleNamespace(now=0.0))
-    recorder.note_event((0.0, 0, 4, lambda: None, None))
+    recorder.note_event((0.0, 0, 1, lambda _arg: None, None))
     recorder.note_event((0.0, 1, 2, 1234, None))
     targets = [entry[3] for entry in recorder.events]
     assert "lambda" in targets[0]
@@ -195,7 +193,8 @@ def test_forced_s403_ships_recorder_evidence():
     stack.run(tiny(stack.client), name="tiny")
     assert stack.sim.now > 0
     # Corrupt the calendar: a record stamped before the current clock.
-    heapq.heappush(stack.sim._calendar, (0.0, -1, 4, lambda: None, None))
+    heapq.heappush(stack.sim._calendar,
+                   (0.0, -1, 1, lambda _arg: None, None))
     stack.sim.run(until=stack.sim.now + 1.0)
     findings = stack.check(strict=False)
     assert any(f.code == "S403" for f in findings)
@@ -261,27 +260,6 @@ def test_format_explain_sections(randwrite_report):
     html = render_explain_html(randwrite_report)
     assert html.startswith("<!DOCTYPE html>") and html.endswith("</html>\n")
     assert "blame" in html and "(unattributed)" in html
-
-
-def test_export_render_timeline_diff_is_deprecated_wrapper():
-    from repro.obs import export
-
-    def run(kind):
-        stack = make_stack(kind, trace=True)
-        stack.run(bench.WORKLOADS["smoke"](stack.client), name="smoke")
-        stack.quiesce()
-        return stack.tracer
-
-    tracer_a = run("nfsv3")
-    tracer_b = run("iscsi")
-    with pytest.warns(DeprecationWarning, match="repro.obs.explain"):
-        legacy = export.render_timeline_diff(tracer_a, "a", tracer_b, "b",
-                                             limit=10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")   # the canonical name must not warn
-        canonical = render_timeline_diff(tracer_a, "a", tracer_b, "b",
-                                         limit=10)
-    assert legacy == canonical
 
 
 # ------------------------------------------- satellite: histogram + ratios

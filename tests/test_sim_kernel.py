@@ -277,6 +277,31 @@ def test_run_until_fires_events_at_exactly_until(sim):
     assert sim.now == 5.0
 
 
+@pytest.mark.parametrize("pending", [True, False], ids=["pending", "empty"])
+@pytest.mark.parametrize("entry", ["run", "run_process"])
+def test_until_before_now_is_rejected(sim, entry, pending):
+    def ticker():
+        while True:
+            yield sim.timeout(1)
+
+    def drive(until):
+        if entry == "run":
+            return sim.run(until=until)
+        return sim.run_process(ticker(), until=until)
+
+    if pending:
+        sim.spawn(ticker())
+    sim.run(until=6)
+    calendar = list(sim._calendar)
+    with pytest.raises(SimulationError, match="in the past"):
+        drive(2)
+    # The clock never moves backwards and nothing was scheduled.
+    assert sim.now == 6
+    assert sim._calendar == calendar
+    assert drive(6) is None   # until == now stays legal
+    assert sim.now == 6
+
+
 def test_utilization_reset_window_mid_acquisition(sim):
     from repro.sim import Resource
 
