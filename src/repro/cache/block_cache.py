@@ -18,7 +18,7 @@ This is the Linux buffer/page cache as the paper's analysis needs it:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional
+from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from ..core.params import CacheParams
 from ..obs.tracer import NULL_TRACER, NullTracer
@@ -93,17 +93,25 @@ class BlockCache:
         return bool(buf and buf.dirty)
 
     # -- reads ----------------------------------------------------------------------
+    # read/read_range/write/write_range are eager calls (see
+    # repro.sim.resources): they do their bookkeeping when called and
+    # return what the caller must ``yield from`` -- an empty tuple on a
+    # hit or below the dirty limit, otherwise a generator that waits.
 
-    def read(self, block: int) -> Generator:
-        """Coroutine: ensure ``block`` is cached (one device read on miss)."""
-        yield from self.read_range(block, 1)
-        return None
+    def read(self, block: int) -> Iterable[Any]:
+        """Ensure ``block`` is cached (one device read on miss).
 
-    def read_range(self, start: int, count: int) -> Generator:
-        """Coroutine: ensure blocks [start, start+count) are cached.
+        An eager call: ``yield from`` the result.
+        """
+        return self.read_range(block, 1)
+
+    def read_range(self, start: int, count: int) -> Iterable[Any]:
+        """Ensure blocks [start, start+count) are cached.
 
         Missing blocks are fetched in contiguous device reads (adjacent
-        misses merge into one request, as the block layer would).
+        misses merge into one request, as the block layer would).  An
+        eager call: the lookups happen now; ``yield from`` the result to
+        wait for the fetches.
         """
         missing: List[int] = []
         awaited: List[Event] = []
@@ -124,6 +132,12 @@ class BlockCache:
                 cat="cache", track=self.track, start=start,
                 hits=count - len(missing), misses=len(missing),
             )
+        if not missing and not awaited:
+            return ()
+        return self._fill(missing, awaited)
+
+    def _fill(self, missing: List[int], awaited: List[Event]) -> Generator:
+        """Fetch ``missing`` blocks, then wait for ``awaited`` fetches."""
         for run_start, run_len in _runs(missing):
             yield from self.device.read(run_start, run_len)
             for block in range(run_start, run_start + run_len):
@@ -138,14 +152,33 @@ class BlockCache:
 
     # -- writes ---------------------------------------------------------------------
 
-    def write(self, block: int) -> Generator:
-        """Coroutine: dirty ``block`` in cache (write-back; may throttle)."""
-        yield from self.write_range(block, 1)
-        return None
+    def write(self, block: int) -> Iterable[Any]:
+        """Dirty ``block`` in cache (write-back; may throttle).
 
-    def write_range(self, start: int, count: int) -> Generator:
-        """Coroutine: dirty blocks [start, start+count) in cache."""
-        yield from self._throttle()
+        An eager call: ``yield from`` the result.
+        """
+        return self.write_range(block, 1)
+
+    def write_range(self, start: int, count: int) -> Iterable[Any]:
+        """Dirty blocks [start, start+count) in cache.
+
+        An eager call: below the dirty limit the blocks are dirtied now;
+        at the limit the result throttles first.  ``yield from`` it.
+        """
+        if len(self._dirty) >= self.dirty_limit:
+            return self._throttled_write(start, count)
+        self._dirty_range(start, count)
+        return ()
+
+    def _throttled_write(self, start: int, count: int) -> Generator:
+        while len(self._dirty) >= self.dirty_limit:
+            gate = self.sim.event()
+            self._throttle_waiters.append(gate)
+            self.sim.spawn(self.flush(), name=self.name + ".throttle-flush")
+            yield gate
+        self._dirty_range(start, count)
+
+    def _dirty_range(self, start: int, count: int) -> None:
         for block in range(start, start + count):
             buf = self._buffers.get(block)
             if buf is None:
@@ -154,7 +187,6 @@ class BlockCache:
                 buf.dirty = True
                 buf.dirtied_at = self.sim.now
                 self._dirty[block] = buf
-        return None
 
     def write_through(self, start: int, count: int) -> Generator:
         """Coroutine: write blocks straight to the device (journal path).
@@ -288,14 +320,6 @@ class BlockCache:
                     self.device.write(evicted_block, 1),
                     name=self.name + ".evict",
                 )
-
-    def _throttle(self) -> Generator:
-        while len(self._dirty) >= self.dirty_limit:
-            gate = self.sim.event()
-            self._throttle_waiters.append(gate)
-            self.sim.spawn(self.flush(), name=self.name + ".throttle-flush")
-            yield gate
-        return None
 
     def _wake_throttled(self) -> None:
         if len(self._dirty) < self.dirty_limit:

@@ -9,7 +9,7 @@ class is the bookkeeping container.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .policies import CacheStats, LruDict
 
@@ -42,6 +42,9 @@ class PageCache:
         self.stats = CacheStats()
         self._pages: LruDict[PageKey, Page] = LruDict(capacity_pages)
         self._dirty: Set[PageKey] = set()
+        # file_id -> indices of its cached pages, so dropping one file
+        # costs its own pages, not a scan of the whole cache.
+        self._by_file: Dict[int, Set[int]] = {}
         self._on_evict_dirty = on_evict_dirty
 
     def __len__(self) -> int:
@@ -82,10 +85,20 @@ class PageCache:
             page.dirtied_at = now
             self._dirty.add(key)
         self.stats.insertions += 1
+        indices = self._by_file.get(file_id)
+        if indices is None:
+            self._by_file[file_id] = {index}
+        else:
+            indices.add(index)
         evicted = self._pages.put(key, page)
         if evicted is not None:
             evicted_key, evicted_page = evicted
             self.stats.evictions += 1
+            evicted_file, evicted_index = evicted_key
+            indices = self._by_file[evicted_file]
+            indices.discard(evicted_index)
+            if not indices:
+                del self._by_file[evicted_file]
             if evicted_page.dirty:
                 self._dirty.discard(evicted_key)
                 if self._on_evict_dirty is not None:
@@ -107,8 +120,8 @@ class PageCache:
 
     def invalidate_file(self, file_id: int) -> None:
         """Drop every page of ``file_id`` (dirty pages are discarded)."""
-        doomed = [key for key in self._pages if key[0] == file_id]
-        for key in doomed:
+        for index in self._by_file.pop(file_id, ()):
+            key = (file_id, index)
             self._pages.pop(key)
             self._dirty.discard(key)
 
@@ -116,3 +129,4 @@ class PageCache:
         """Drop every entry."""
         self._pages.clear()
         self._dirty.clear()
+        self._by_file.clear()

@@ -93,7 +93,7 @@ _RULE_LIST = (
     Rule("P202", "unreleased-acquire",
          "follow acquire() with try/finally release(), or call use()"),
     Rule("P203", "dropped-sim-result",
-         "yield (from) the call or assign its result; a bare call is a no-op"),
+         "the result must be yielded from (or yielded, or assigned)"),
     Rule("O301", "unguarded-tracer-hook",
          "guard tracer calls with `if tracer.enabled:` (NULL_TRACER pattern)"),
     Rule("O302", "unguarded-telemetry-hook",
@@ -162,11 +162,15 @@ _GLOBAL_RNG_FNS = frozenset({
     "paretovariate", "weibullvariate", "seed",
 })
 
-# P203: zero-argument-effect simulator calls whose *result* is the whole
-# point; a bare expression statement silently discards it.
+# P203: simulator calls whose *result* must be yielded (from).  A bare
+# expression statement discards it: for a factory (timeout, event) the
+# call then does nothing, and for an eager call (use, acquire,
+# read_range, write_range) it acts without the process waiting, so the
+# process is resumed later unbidden or runs ahead of its I/O.  ``read``
+# and ``write`` are left out: they would flag file objects.
 _SIM_RESULT_CALLS = frozenset({
     "timeout", "event", "any_of", "all_of", "acquire", "use",
-    "hold", "park",
+    "hold", "park", "read_range", "write_range",
 })
 
 # P201: the entry points that turn a generator into a process.
@@ -842,8 +846,8 @@ class _Linter(ast.NodeVisitor):
                 and isinstance(value.func, ast.Attribute)
                 and value.func.attr in _SIM_RESULT_CALLS):
             self._report(node, "P203",
-                         ".%s() result dropped; the call alone does "
-                         "nothing" % value.func.attr)
+                         ".%s() result dropped; it must be yielded "
+                         "from" % value.func.attr)
         # P202: `yield from x.acquire()` without a release path.
         if (isinstance(value, ast.YieldFrom)
                 and isinstance(value.value, ast.Call)

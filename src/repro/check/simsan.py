@@ -11,8 +11,9 @@ outputs are bit-identical to an unsanitized run unless a check fires.
 Checks and finding codes
 ------------------------
 * **S401 deadlock** — at end of run, a live process still waiting on an
-  untriggered event with an empty calendar.  (Processes parked in a
-  :class:`~repro.sim.Store` are idle servers, not deadlocks.)
+  untriggered event, or queued on a resource, with an empty calendar.
+  (Processes parked in a :class:`~repro.sim.Store` are idle servers, not
+  deadlocks.)
 * **S402 resource leak** — a :class:`~repro.sim.Resource` with held
   slots or queued waiters at end of run.
 * **S403 event-order violation** — the ``(when, seq)`` total order tied

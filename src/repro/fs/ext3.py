@@ -28,7 +28,7 @@ operation's cost is the block traffic it generates.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..cache.block_cache import BlockCache
 from ..core.params import CpuParams, Ext3Params, TestbedParams
@@ -631,9 +631,14 @@ class Ext3Fs:
         ]
         for run_start, run_len in _physical_runs(ahead):
             self.sim.spawn(
-                self.cache.read_range(run_start, run_len),
+                self._readahead(run_start, run_len),
                 name=self.name + ".readahead",
             )
+
+    def _readahead(self, start: int, count: int) -> Generator:
+        # BlockCache.read_range is an eager call: wrapped, its cache scan
+        # runs at this process's first resume, not at spawn time.
+        yield from self.cache.read_range(start, count)
 
     def _update_atime(self, inode: Inode) -> Generator:
         if not self.params.atime_updates:
@@ -642,10 +647,11 @@ class Ext3Fs:
         yield from self._dirty_inode(inode)
         return None
 
-    def _charge(self, cost: float) -> Generator:
+    def _charge(self, cost: float) -> Iterable[Any]:
+        """Charge filesystem CPU; an eager call, ``yield from`` the result."""
         if self.cpu is not None and cost > 0:
-            yield from self.cpu.use(cost)
-        return None
+            return self.cpu.use(cost)
+        return ()
 
 
 def _physical_runs(blocks: List[int]) -> List[Tuple[int, int]]:

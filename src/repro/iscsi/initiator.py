@@ -12,7 +12,7 @@ command PDU is the counted "message"; data and status ride the exchange.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from ..core.params import CpuParams, IscsiParams
 from ..net.rpc import RpcPeer
@@ -206,7 +206,8 @@ class IscsiInitiator(BlockDevice):
                 self.tracer.end_span(span)
         return None
 
-    def _charge(self, cost: float) -> Generator:
+    def _charge(self, cost: float) -> Iterable[Any]:
+        """Charge initiator CPU; an eager call, ``yield from`` the result."""
         if self.cpu is not None and cost > 0:
-            yield from self.cpu.use(cost)
-        return None
+            return self.cpu.use(cost)
+        return ()

@@ -9,7 +9,7 @@ filesystem, and the block layer).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from ..core.params import CpuParams
 from ..net.message import Message
@@ -57,43 +57,42 @@ class IscsiTarget:
 
     def handle(self, message: Message) -> Generator:
         """RPC handler: dispatch one SCSI command to the backing volume."""
+        span = None
         if self.tracer.enabled:
-            result = yield from self.tracer.wrap(
-                "scsi.serve:" + message.op, self._handle_inner(message),
-                cat="scsi", track="server",
+            span = self.tracer.begin_span(
+                "scsi.serve:" + message.op, cat="scsi", track="server")
+        try:
+            self.commands_served += 1
+            op = message.op
+            body = message.body
+            yield from self._charge(
+                self.cpu_params.scsi_layer + self.cpu_params.driver_layer
             )
-            return result
-        result = yield from self._handle_inner(message)
-        return result
+            if op == scsi.READ_10:
+                start, count = body["lba"], body["count"]
+                yield from self.volume.read(start, count)
+                return count * self.volume.block_size, {"status": "good"}
+            if op == scsi.WRITE_10:
+                start, count = body["lba"], body["count"]
+                yield from self.volume.write(start, count)
+                return 8, {"status": "good"}
+            if op == scsi.SYNCHRONIZE_CACHE:
+                return 8, {"status": "good"}
+            if op == scsi.REPORT_CAPACITY:
+                return 16, {"status": "good", "nblocks": self.volume.nblocks}
+            if op == scsi.LOGIN:
+                # A fresh session: command-sequence state from the old one
+                # (the duplicate-reply cache) is discarded.
+                self.logins_served += 1
+                self.rpc.session_reset()
+                return 48, {"status": "good"}
+            return 0, {"status": "check_condition", "op": op}
+        finally:
+            if span is not None:
+                self.tracer.end_span(span)
 
-    def _handle_inner(self, message: Message) -> Generator:
-        self.commands_served += 1
-        op = message.op
-        body = message.body
-        yield from self._charge(
-            self.cpu_params.scsi_layer + self.cpu_params.driver_layer
-        )
-        if op == scsi.READ_10:
-            start, count = body["lba"], body["count"]
-            yield from self.volume.read(start, count)
-            return count * self.volume.block_size, {"status": "good"}
-        if op == scsi.WRITE_10:
-            start, count = body["lba"], body["count"]
-            yield from self.volume.write(start, count)
-            return 8, {"status": "good"}
-        if op == scsi.SYNCHRONIZE_CACHE:
-            return 8, {"status": "good"}
-        if op == scsi.REPORT_CAPACITY:
-            return 16, {"status": "good", "nblocks": self.volume.nblocks}
-        if op == scsi.LOGIN:
-            # A fresh session: command-sequence state from the old one
-            # (the duplicate-reply cache) is discarded.
-            self.logins_served += 1
-            self.rpc.session_reset()
-            return 48, {"status": "good"}
-        return 0, {"status": "check_condition", "op": op}
-
-    def _charge(self, cost: float) -> Generator:
+    def _charge(self, cost: float) -> Iterable[Any]:
+        """Charge target CPU; an eager call, ``yield from`` the result."""
         if self.cpu is not None and cost > 0:
-            yield from self.cpu.use(cost)
-        return None
+            return self.cpu.use(cost)
+        return ()

@@ -19,7 +19,7 @@ enhancements implement cache-invalidation callbacks and delegation recalls.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Event, Resource, Simulator
@@ -259,51 +259,48 @@ class RpcPeer:
                 parent=message.span_id or None, xid=message.xid,
             )
         try:
-            yield from self._serve_inner(message)
+            san = self.san
+            if san is not None:
+                san.note_request(message)
+            if message.cancelled:
+                # The connection that carried it was torn down in flight.
+                if san is not None:
+                    san.note_request_cancelled(message)
+                return
+            yield from self._charge(message.size)
+            cached = self._duplicate_cache.get(message.xid)
+            if cached is not None:
+                # Retransmitted request: replay the reply without re-executing.
+                self.retransmissions_seen += 1
+                if san is not None:
+                    san.note_request_replayed(message)
+                yield from self._charge(cached.size)
+                self._send(cached)
+                return
+            if message.xid in self._in_progress:
+                # Retransmission of a call still executing: drop it — the
+                # original execution's reply will satisfy the caller.
+                self.retransmissions_seen += 1
+                if san is not None:
+                    san.note_request_dropped_in_progress(message)
+                return
+            if self.handler is None:
+                raise RpcError("%s received a call but has no handler" % (self.name,))
+            self._in_progress.add(message.xid)
+            try:
+                payload_bytes, body = yield from self.handler(message)
+            finally:
+                self._in_progress.discard(message.xid)
+            reply = message.make_reply(payload_bytes=payload_bytes, **body)
+            self.calls_served += 1
+            if san is not None:
+                san.note_request_served(message)
+            self._remember_reply(message.xid, reply)
+            yield from self._charge(reply.size)
+            self._send(reply)
         finally:
             if span is not None:
                 self.tracer.end_span(span)
-
-    def _serve_inner(self, message: Message) -> Generator:
-        san = self.san
-        if san is not None:
-            san.note_request(message)
-        if message.cancelled:
-            # The connection that carried it was torn down in flight.
-            if san is not None:
-                san.note_request_cancelled(message)
-            return
-        yield from self._charge(message.size)
-        cached = self._duplicate_cache.get(message.xid)
-        if cached is not None:
-            # Retransmitted request: replay the reply without re-executing.
-            self.retransmissions_seen += 1
-            if san is not None:
-                san.note_request_replayed(message)
-            yield from self._charge(cached.size)
-            self._send(cached)
-            return
-        if message.xid in self._in_progress:
-            # Retransmission of a call still executing: drop it — the
-            # original execution's reply will satisfy the caller.
-            self.retransmissions_seen += 1
-            if san is not None:
-                san.note_request_dropped_in_progress(message)
-            return
-        if self.handler is None:
-            raise RpcError("%s received a call but has no handler" % (self.name,))
-        self._in_progress.add(message.xid)
-        try:
-            payload_bytes, body = yield from self.handler(message)
-        finally:
-            self._in_progress.discard(message.xid)
-        reply = message.make_reply(payload_bytes=payload_bytes, **body)
-        self.calls_served += 1
-        if san is not None:
-            san.note_request_served(message)
-        self._remember_reply(message.xid, reply)
-        yield from self._charge(reply.size)
-        self._send(reply)
 
     def _remember_reply(self, xid: int, reply: Message) -> None:
         self._duplicate_cache[xid] = reply
@@ -322,9 +319,10 @@ class RpcPeer:
 
     # -- CPU accounting -----------------------------------------------------------
 
-    def _charge(self, size: int) -> Generator:
+    def _charge(self, size: int) -> Iterable[Any]:
+        """Charge one message's CPU; an eager call, ``yield from`` the result."""
         if self.cpu is not None:
             cost = self.per_message_cpu + self.per_byte_cpu * size
             if cost > 0:
-                yield from self.cpu.use(cost)
-        return None
+                return self.cpu.use(cost)
+        return ()

@@ -164,32 +164,30 @@ class NfsServer:
 
     def handle(self, message: Message) -> Generator:
         """RPC handler: returns ``(reply_payload_bytes, reply_body)``."""
+        span = None
         if self.tracer.enabled:
-            result = yield from self.tracer.wrap(
-                "nfs:" + message.op, self._handle_inner(message),
-                cat="nfs", track="server",
-            )
-            return result
-        result = yield from self._handle_inner(message)
-        return result
-
-    def _handle_inner(self, message: Message) -> Generator:
-        handler = self._dispatch.get(message.op)
-        if handler is None:
-            return 0, {"status": p.NfsStatus.INVAL, "detail": message.op}
-        client = message.body.get("client")
-        if client is not None:
-            self.state.peer_of[client] = self.rpc
-        self.ops_served += 1
+            span = self.tracer.begin_span(
+                "nfs:" + message.op, cat="nfs", track="server")
         try:
-            result = yield from handler(message.body)
-        except FsError as error:
-            return 0, {"status": p.NfsStatus.from_exception(error)}
-        return result
+            handler = self._dispatch.get(message.op)
+            if handler is None:
+                return 0, {"status": p.NfsStatus.INVAL, "detail": message.op}
+            client = message.body.get("client")
+            if client is not None:
+                self.state.peer_of[client] = self.rpc
+            self.ops_served += 1
+            try:
+                result = yield from handler(message.body)
+            except FsError as error:
+                return 0, {"status": p.NfsStatus.from_exception(error)}
+            return result
+        finally:
+            if span is not None:
+                self.tracer.end_span(span)
 
     def _inode(self, ino: int) -> Generator:
-        inode = yield from self.fs.iget(ino)
-        return inode
+        # iget's own coroutine: no wrapper frame per NFS procedure.
+        return self.fs.iget(ino)
 
     # -- procedures -------------------------------------------------------------------
 

@@ -81,7 +81,7 @@ _RESOURCE_FIELDS = ("utilization", "mean_queue", "mean_wait_s",
 
 # Calendar-record kinds, mirroring the numeric constants of
 # repro.sim.kernel (recorder rings store the raw int; dumps decode it).
-_KIND_NAMES = ("event", "call1", "resume", "throw")
+_KIND_NAMES = ("event", "call1", "resume", "throw", "release")
 
 
 # -- flight recorder ----------------------------------------------------------

@@ -33,6 +33,29 @@ drain pays it once, whereas peeking at ``calendar[0]`` before every pop
 costs an index per record.  The per-record observer (flight recorder,
 sanitizer order check) is looked up once per drain.
 
+A resource hold (:meth:`repro.sim.resources.Resource.use`) costs its
+calendar records and nothing more: no generator, no gate
+:class:`Event`.  An uncontended ``use(d)`` does the acquire accounting
+at once and pushes one *release* record (kind 4) in the ``(when, seq)``
+slot ``hold(d)`` takes; its target is the process, so the flight
+recorder names what it resumes, and dispatching it does the release
+accounting and then resumes the process.  A contended acquirer is
+queued on the resource itself, and the release that frees its unit
+pushes one *grant* record (kind 1) at the current instant: exactly the
+slot that triggering the acquirer's gate event took, so the firing order
+and every simulated output are those of the gate-based hand-off.
+
+That makes ``use`` an *eager call*, like ``Resource.acquire``, the
+layers' ``_charge`` helpers and ``BlockCache.read``/``read_range``/
+``write``/``write_range``: a plain method that acts when it is called
+and returns what the caller must ``yield from`` — an empty tuple when
+there is nothing to wait for, otherwise the hold sentinel or a
+generator.  Call sites keep the coroutine spelling ``yield from
+x.use(d)``; the result must never be dropped (simlint P203), and the
+call must never be handed to :meth:`Simulator.spawn`, which would do its
+work at spawn time instead of at the new process's first resume (wrap
+it in a small generator instead).
+
 Example
 -------
 >>> sim = Simulator()
@@ -62,13 +85,15 @@ __all__ = [
     "Simulator",
 ]
 
-# Calendar record kinds (index 2 of each record).  Ordered by hotness in
-# the run-loop dispatch: event processing dominates, then one-argument
-# calls (message delivery), then process resumes (one per spawn).
+# Calendar record kinds (index 2 of each record).  The run loop tests
+# them in this order, except that the rare throws come last.  A release
+# record ends a resource hold: its payload is the Resource, which does the
+# release accounting and then resumes the target process.
 _KIND_EVENT = 0    # target: Event      -> target._process()
 _KIND_CALL1 = 1    # target: callable   -> target(payload)
 _KIND_RESUME = 2   # target: Process    -> target._resume(payload, None)
 _KIND_THROW = 3    # target: Process    -> target._resume(None, payload)
+_KIND_RELEASE = 4  # target: Process    -> payload._end_hold(target)
 
 # Sentinel yielded by Simulator.hold(): the resume record is already on
 # the calendar, so Process._resume has nothing to subscribe to.
@@ -372,7 +397,7 @@ class Simulator:
         """Sleep the *currently running* process for ``delay``; no Event.
 
         The allocation-free fast path for the innermost service delays
-        (disk transfers, CPU charges): it pushes the process's resume
+        (disk transfers, think times): it pushes the process's resume
         record directly onto the calendar and returns a sentinel for the
         process to yield, skipping the Timeout object, its callback list,
         and the event-processing hop.  The record occupies the same
@@ -570,6 +595,8 @@ class Simulator:
                 target(payload)
             elif kind == 2:
                 target._resume(payload, None)
+            elif kind == 4:
+                payload._end_hold(target)
             else:
                 target._resume(None, payload)
         self._raise_unhandled()

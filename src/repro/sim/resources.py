@@ -14,24 +14,65 @@ figures fall out of the same objects that provide the contention.  Every
 queue-depth integral — the raw material for the queueing analytics in
 :mod:`repro.obs.profile`.  The older :class:`UtilizationTracker` is kept
 for the CPU-utilization windows of Tables 9/10.
+
+One-record holds
+----------------
+A hold costs its calendar records and nothing more.  :meth:`Resource.use`
+is a plain method, not a coroutine: an uncontended call does the acquire
+accounting at once, pushes the hold's end as one *release* record in the
+slot ``sim.hold(duration)`` takes, and returns a one-element iterable of
+the kernel's hold sentinel, so call sites still read ``yield from
+cpu.use(d)``.  The kernel dispatches the release record to
+:meth:`Resource._end_hold`, which does the release accounting, grants
+the unit to the oldest waiter, and resumes the process.
+
+A contended acquirer (in ``use`` or ``acquire``) is queued on the
+resource itself.  The release that frees its unit pushes one *grant*
+record at the current instant, which is exactly the ``(when, seq)`` slot
+that triggering a per-waiter gate :class:`~repro.sim.kernel.Event` takes,
+so the firing order is the one the gate-based hand-off produced.  The
+grant does the wait-done accounting and then starts the hold (``use``)
+or resumes the process (``acquire``).  ``ResourceStats`` and
+``UtilizationTracker`` are updated once per transition (enqueue, enter
+service, leave service), each with the float operations of its own
+``_accumulate`` step, so their figures are bit-identical to what
+separate per-call accounting hooks would produce.
+
+Eager calls
+-----------
+``use`` and ``acquire`` act when they are called and return what the
+caller must ``yield from``: an empty tuple when there is nothing to wait
+for, the hold sentinel otherwise.  The result is never dropped (simlint
+P203) and the call is never handed to ``sim.spawn``, which would do its
+work at spawn time rather than at the new process's first resume.  A
+hold cannot be cut short: the unit is released when the hold's record
+fires, even if the process was interrupted in the meantime.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from heapq import heappush
+from typing import Any, Deque, Iterable, List, Optional, Tuple
 
-from .kernel import Event, SimulationError, Simulator
+from .kernel import (_HOLD, _KIND_CALL1, _KIND_RELEASE, Process,
+                     SimulationError, Simulator)
 from .stats import ResourceStats
 
 __all__ = ["Resource", "Store", "UtilizationTracker"]
+
+# The result of an eager call that suspends the process: ``yield from``
+# hands the kernel's hold sentinel up to Process._resume, and the record
+# that wakes the process is (or will be) on the calendar.
+_WAIT = (_HOLD,)
 
 
 class UtilizationTracker:
     """Accumulates busy time for a capacity-``n`` server.
 
     Utilization over a window is ``busy_time / (capacity * elapsed)``, i.e.
-    the fraction of available service capacity consumed.
+    the fraction of available service capacity consumed.  The owning
+    :class:`Resource` moves units in and out of service.
     """
 
     __slots__ = ("sim", "capacity", "busy_time", "_in_service",
@@ -44,18 +85,6 @@ class UtilizationTracker:
         self._in_service = 0
         self._last_change = sim.now
         self._window_start = sim.now
-
-    def acquire(self) -> None:
-        """Record one unit of capacity entering service."""
-        self._accumulate()
-        self._in_service += 1
-
-    def release(self) -> None:
-        """Record one unit of capacity leaving service."""
-        self._accumulate()
-        if self._in_service <= 0:
-            raise SimulationError("release without acquire")
-        self._in_service -= 1
 
     def _accumulate(self) -> None:
         now = self.sim.now
@@ -85,7 +114,7 @@ class Resource:
     """A counting semaphore with FIFO queueing and utilization tracking."""
 
     __slots__ = ("sim", "capacity", "name", "available", "_waiters",
-                 "tracker", "stats", "total_acquisitions")
+                 "tracker", "stats")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -94,70 +123,155 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.available = capacity
-        self._waiters: Deque[Event] = deque()
+        # Queued acquirers, oldest first: (process, arrival time, hold
+        # duration, or None for acquire()).
+        self._waiters: Deque[Tuple[Process, float, Optional[float]]] = deque()
         self.tracker = UtilizationTracker(sim, capacity)
         self.stats = ResourceStats(self)
-        self.total_acquisitions = 0
+
+    def __repr__(self) -> str:
+        return "<Resource %r: %d/%d held, %d queued>" % (
+            self.name, self.capacity - self.available, self.capacity,
+            len(self._waiters))
 
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Generator[Event, Any, None]:
-        """Coroutine: block until a unit of capacity is held."""
-        if self.available > 0 and not self._waiters:
-            self.available -= 1
-            self.stats.note_acquired(0.0)
-        else:
-            arrived = self.sim.now
-            gate = self.sim.event()
-            self.stats.note_enqueued()
-            self._waiters.append(gate)
-            yield gate
-            self.stats.note_wait_done(self.sim.now - arrived)
-        self.total_acquisitions += 1
-        # UtilizationTracker.acquire is plain bookkeeping, not the
-        # coroutine Resource.acquire — nothing to yield here.
-        self.tracker.acquire()  # simlint: disable=P203 -- bookkeeping method, not the coroutine acquire
-        return None
+    def acquire(self) -> Iterable[Any]:
+        """Take one unit of capacity; ``yield from`` the result.
 
-    def release(self) -> None:
-        """Return one unit of capacity; wakes the oldest waiter, if any."""
-        self.tracker.release()
-        self.stats.note_released()
-        if self._waiters:
-            self._waiters.popleft().trigger()
-        else:
-            if self.available >= self.capacity:
-                raise SimulationError(
-                    "resource %r released more than acquired" % (self.name,)
-                )
-            self.available += 1
-
-    def use(self, duration: float) -> Generator[Event, Any, None]:
-        """Coroutine: acquire, hold for ``duration``, release.
-
-        The acquire is inlined (same logic as :meth:`acquire`) so the
-        per-charge hot path costs one generator, not two nested ones.
+        An eager call: a free unit is taken at once (the result is empty);
+        otherwise the running process is queued and the result suspends
+        it until a release grants it the unit.
         """
         if self.available > 0 and not self._waiters:
             self.available -= 1
-            self.stats.note_acquired(0.0)
+            self._enter(0.0, False)
+            return ()
+        proc = self.sim._active_process
+        if proc is None:
+            raise SimulationError("acquire() outside a running process")
+        self._enqueue(proc, None)
+        return _WAIT
+
+    def release(self) -> None:
+        """Return one unit of capacity; grants it to the oldest waiter, if any.
+
+        Releasing a unit that is not in service (a release without, or
+        beyond, its acquires) raises :class:`SimulationError`.
+        """
+        stats = self.stats
+        if stats._in_service <= 0:
+            raise SimulationError(
+                "resource %r released more than acquired" % (self.name,))
+        sim = self.sim
+        now = sim.now
+        # Both accumulators, inlined: this runs once per charge.
+        dt = now - stats._last_change
+        if dt > 0.0:
+            stats.busy_time += stats._in_service * dt
+            stats._queue_integral += stats._queue_len * dt
+            stats._last_change = now
+        stats._in_service -= 1
+        tracker = self.tracker
+        if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
+            tracker.busy_time += tracker._in_service * (now - tracker._last_change)
+            tracker._last_change = now
+        tracker._in_service -= 1
+        if self._waiters:
+            # The grant record takes the (when, seq) slot that triggering
+            # a per-waiter gate Event here would.
+            sim._sequence = seq = sim._sequence + 1
+            heappush(sim._calendar, (now, seq, _KIND_CALL1, self._grant,
+                                     self._waiters.popleft()))
         else:
-            arrived = self.sim.now
-            gate = Event(self.sim)
-            self.stats.note_enqueued()
-            self._waiters.append(gate)
-            yield gate
-            self.stats.note_wait_done(self.sim.now - arrived)
-        self.total_acquisitions += 1
-        # Bookkeeping call (see acquire() above), not the coroutine.
-        self.tracker.acquire()  # simlint: disable=P203 -- bookkeeping method, not the coroutine acquire
-        try:
-            yield self.sim.hold(duration)
-        finally:
-            self.release()
-        return None
+            self.available += 1
+
+    def use(self, duration: float) -> Iterable[Any]:
+        """Acquire, hold for ``duration``, release; ``yield from`` the result.
+
+        An eager call (see the module docstring): it checks its arguments,
+        takes a free unit or queues the running process at once, and
+        returns the hold sentinel for the caller to ``yield from``.  The
+        process resumes once the unit has been held for ``duration`` and
+        released.  A negative ``duration`` raises :class:`ValueError` and
+        a call outside a running process raises :class:`SimulationError`,
+        both before anything is taken or queued.
+        """
+        if duration < 0:
+            raise ValueError("negative delay: %r" % (duration,))
+        sim = self.sim
+        proc = sim._active_process
+        if proc is None:
+            raise SimulationError("use() outside a running process")
+        if self.available > 0 and not self._waiters:
+            self.available -= 1
+            self._enter(0.0, False)
+            sim._sequence = seq = sim._sequence + 1
+            heappush(sim._calendar,
+                     (sim.now + duration, seq, _KIND_RELEASE, proc, self))
+        else:
+            self._enqueue(proc, duration)
+        return _WAIT
+
+    # -- transitions and records --------------------------------------------------
+    # Each transition (_enqueue, _enter, and release above) updates
+    # ResourceStats and UtilizationTracker once, with the float operations
+    # of their _accumulate() steps.
+
+    def _enqueue(self, proc: Process, duration: Optional[float]) -> None:
+        """Queue ``proc``; a later release grants it the unit."""
+        stats = self.stats
+        stats._accumulate()
+        stats._queue_len += 1
+        # Seen by the sanitizer's deadlock check (S401) if the run ends
+        # with the process still queued.
+        proc._waiting_on = self
+        self._waiters.append((proc, self.sim.now, duration))
+
+    def _enter(self, wait: float, from_queue: bool) -> None:
+        """One unit enters service after ``wait`` seconds in the queue."""
+        now = self.sim.now
+        stats = self.stats
+        # Both accumulators, inlined: this runs once per charge.
+        dt = now - stats._last_change
+        if dt > 0.0:
+            stats.busy_time += stats._in_service * dt
+            stats._queue_integral += stats._queue_len * dt
+            stats._last_change = now
+        if from_queue:
+            stats._queue_len -= 1
+        stats._in_service += 1
+        stats.acquisitions += 1
+        if wait > 0.0:
+            stats.total_wait += wait
+            stats.contended += 1
+            if wait > stats.max_wait:
+                stats.max_wait = wait
+            stats.wait_hist.record(wait)
+        tracker = self.tracker
+        if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
+            tracker.busy_time += tracker._in_service * (now - tracker._last_change)
+            tracker._last_change = now
+        tracker._in_service += 1
+
+    def _grant(self, waiter: Tuple[Process, float, Optional[float]]) -> None:
+        """The grant record: ``waiter`` takes the unit a release handed it."""
+        proc, arrived, duration = waiter
+        sim = self.sim
+        self._enter(sim.now - arrived, True)
+        if duration is None:
+            proc._resume(None, None)
+        else:
+            sim._sequence = seq = sim._sequence + 1
+            heappush(sim._calendar,
+                     (sim.now + duration, seq, _KIND_RELEASE, proc, self))
+
+    def _end_hold(self, proc: Process) -> None:
+        """The release record: the hold of ``proc`` is over."""
+        self.release()
+        proc._resume(None, None)
 
 
 class Store:

@@ -167,7 +167,8 @@ class ResourceStats:
     """First-class queueing statistics for one resource.
 
     This generalizes the old scattered ``busy_time`` counters into a
-    single accumulator maintained by ``Resource.acquire``/``release``:
+    single accumulator that the owning ``Resource`` updates whenever an
+    acquirer queues, enters service, or leaves it:
 
     * **utilization** — busy time integrated over the in-service count,
       divided by ``capacity * elapsed`` (what vmstat would report);
@@ -205,51 +206,9 @@ class ResourceStats:
         self._queue_integral = 0.0
         self._last_change = self._sim.now
 
-    # -- accounting hooks (called by Resource) --------------------------------
-
-    def note_enqueued(self) -> None:
-        """One acquirer joined the wait queue."""
-        self._accumulate()
-        self._queue_len += 1
-
-    def note_acquired(self, wait: float) -> None:
-        """One acquirer entered service after waiting ``wait`` seconds.
-
-        Acquirers that queued must call :meth:`note_wait_done` instead so
-        the queue-depth integral stays conservative.
-        """
-        # _accumulate(), inlined: this is the per-charge hot path.
-        now = self._sim.now
-        dt = now - self._last_change
-        if dt > 0.0:
-            self.busy_time += self._in_service * dt
-            self._queue_integral += self._queue_len * dt
-            self._last_change = now
-        self._in_service += 1
-        self.acquisitions += 1
-        if wait > 0.0:
-            self.total_wait += wait
-            self.contended += 1
-            if wait > self.max_wait:
-                self.max_wait = wait
-            self.wait_hist.record(wait)
-
-    def note_wait_done(self, wait: float) -> None:
-        """A queued acquirer left the wait queue and entered service."""
-        self._accumulate()
-        self._queue_len -= 1
-        self.note_acquired(wait)
-
-    def note_released(self) -> None:
-        """One unit of capacity left service."""
-        # _accumulate(), inlined: this is the per-charge hot path.
-        now = self._sim.now
-        dt = now - self._last_change
-        if dt > 0.0:
-            self.busy_time += self._in_service * dt
-            self._queue_integral += self._queue_len * dt
-            self._last_change = now
-        self._in_service -= 1
+    # -- accounting ---------------------------------------------------------------
+    # The owning Resource updates the counters at each transition (enqueue,
+    # enter service, leave service), inlining _accumulate() on the hot ones.
 
     def _accumulate(self) -> None:
         now = self._sim.now

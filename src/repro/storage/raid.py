@@ -19,7 +19,7 @@ contributing to the server-utilization asymmetries of Table 9.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..core.params import DiskParams, RaidParams
 from ..obs.tracer import NULL_TRACER, NullTracer
@@ -325,8 +325,9 @@ class Raid5Volume(BlockDevice):
             )
         return None
 
-    def _charge_parity(self, count: int) -> Generator:
+    def _charge_parity(self, count: int) -> Iterable[Any]:
+        """Charge parity CPU; an eager call, ``yield from`` the result."""
         if self.cpu is not None and self.parity_cpu_per_byte > 0:
             cost = self.parity_cpu_per_byte * count * self.block_size
-            yield from self.cpu.use(cost)
-        return None
+            return self.cpu.use(cost)
+        return ()

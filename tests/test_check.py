@@ -201,6 +201,32 @@ def test_p203_negative_yielded_or_bound():
     assert codes(src) == []
 
 
+def test_p203_flags_dropped_eager_calls():
+    # An eager call acts when made; dropping its result leaves the process
+    # running ahead of its hold or I/O, so the message says what to do.
+    src = ("def proc():\n"
+           "    cpu.use(0.1)\n"
+           "    lock.acquire()\n"
+           "    cache.read_range(0, 4)\n"
+           "    cache.write_range(0, 4)\n"
+           "    yield from cpu.use(0.1)\n"
+           "    yield from cache.read_range(0, 4)\n"
+           "    pending = cache.write_range(0, 4)\n"
+           "    yield from pending\n")
+    violations = lint_source(src)
+    assert [v.code for v in violations] == ["P203"] * 4
+    assert [v.line for v in violations] == [2, 3, 4, 5]
+    assert all("must be yielded from" in v.message for v in violations)
+    assert "must be yielded from" in simlint.RULES["P203"].hint
+
+
+def test_p203_leaves_file_read_and_write_alone():
+    src = ("def copy(src, dst):\n"
+           "    dst.write(src.read(4096))\n"
+           "    handle.read()\n")
+    assert codes(src) == []
+
+
 # ---------------------------------------------------------------- simlint: O
 
 
@@ -371,6 +397,36 @@ def test_s401_deadlock_detected():
     findings = san.verify(strict=False)
     assert any(f.code == "S401" for f in findings)
     assert any("stuck" in f.message for f in findings)
+
+
+@pytest.mark.parametrize("call", ["acquire", "use"])
+def test_s401_queued_resource_waiter_is_a_deadlock(call):
+    # A contended acquirer is queued on the resource itself (no gate
+    # event); the deadlock check still names it and the resource.
+    from repro.check.simsan import SimSan
+    from repro.sim import Resource
+
+    stack = _MiniStack()
+    sim = stack.sim
+    san = SimSan(stack)
+    cpu = Resource(sim, capacity=1, name="cpu")
+
+    def hog():
+        yield from cpu.acquire()  # simlint: disable=P202 -- never released on purpose
+
+    def waiter():
+        if call == "acquire":
+            yield from cpu.acquire()  # simlint: disable=P202 -- blocks forever
+        else:
+            yield from cpu.use(1.0)
+
+    sim.spawn(hog(), name="hog")
+    sim.spawn(waiter(), name="stuck")
+    sim.run()
+    findings = [f for f in san.verify(strict=False) if f.code == "S401"]
+    assert len(findings) == 1
+    assert "'stuck'" in findings[0].message
+    assert "<Resource 'cpu': 1/1 held, 1 queued>" in findings[0].message
 
 
 def test_s401_parked_store_getter_is_not_a_deadlock():

@@ -36,6 +36,7 @@ from repro.obs.explain import (
     run_side,
     side_from_bench,
 )
+from repro.sim import Resource, Simulator
 from repro.sim.stats import LatencyHistogram
 
 
@@ -178,6 +179,30 @@ def test_flight_recorder_names_fallbacks():
     targets = [entry[3] for entry in recorder.events]
     assert "lambda" in targets[0]
     assert targets[1] == "int"
+
+
+def test_flight_recorder_names_the_process_a_hold_end_resumes():
+    sim = Simulator()
+    recorder = sim.recorder = FlightRecorder(sim)
+    cpu = Resource(sim, capacity=1, name="cpu")
+
+    def worker():
+        yield from cpu.use(1.0)     # uncontended: the release record
+        yield from cpu.use(1.0)
+
+    def rival():
+        yield from cpu.use(0.5)     # queued: granted, then released
+
+    sim.spawn(worker(), name="worker")
+    sim.spawn(rival(), name="rival")
+    sim.run()
+    events = recorder.context()["events"]
+    assert [(e["t"], e["kind"], e["target"]) for e in events
+            if e["kind"] == "release"] == [
+        (1.0, "release", "worker"), (1.5, "release", "rival"),
+        (2.5, "release", "worker")]
+    assert [e["kind"] for e in events if e["target"] == "Resource._grant"] \
+        == ["call1", "call1"]
 
 
 def test_forced_s403_ships_recorder_evidence():

@@ -1,5 +1,7 @@
 """Unit tests for the ext3-like filesystem and its journal."""
 
+import inspect
+
 import pytest
 
 from repro.fs import (
@@ -329,3 +331,38 @@ def test_fsync_flushes_file_data(sim, fs):
     before, after = run(sim, work())
     assert after > before
     assert fs.cache.dirty_blocks == 0 or fs.journal.pending_metadata == 0
+
+
+def test_readahead_scans_the_cache_at_its_first_resume(sim):
+    # BlockCache.read_range is an eager call.  The readahead must hand
+    # spawn a generator that calls it, so the cache scan happens when the
+    # new process first runs, as it did when read_range was a coroutine;
+    # passing the eager call itself to spawn would scan at spawn time.
+    fs = Ext3Fs(sim, Raid5Volume(sim), cache_bytes=64 * 1024 * 1024,
+                readahead_blocks=8)
+    sim.run_process(fs.mount())
+
+    def setup():
+        root = yield from fs.iget(ROOT_INO)
+        inode = yield from fs.create(root, "seq")
+        yield from fs.write_file(inode, 0, 16 * 4096)
+        yield from fs.cache.sync()
+        return inode
+
+    inode = run(sim, setup())
+    fs.cache.invalidate_all()
+    fs._maybe_readahead(inode, 0, 0)        # the first read is not sequential
+    assert not any(record[3].name == "ext3.readahead"
+                   for record in sim._calendar if record[2] == 2)
+    misses = fs.cache.stats.misses
+    fs._maybe_readahead(inode, 1, 1)
+    spawned = [record[3] for record in sim._calendar
+               if record[2] == 2 and record[3].name == "ext3.readahead"]
+    assert len(spawned) == 1
+    generator = spawned[0]._generator
+    assert inspect.getgeneratorstate(generator) == inspect.GEN_CREATED
+    assert fs.cache.stats.misses == misses  # nothing scanned yet
+    sim.run(until=sim.now + 1.0)            # the flusher never stops
+    ahead = [inode.block_map[i] for i in range(2, 10)]
+    assert fs.cache.stats.misses == misses + len(ahead)
+    assert all(fs.cache.contains(block) for block in ahead)

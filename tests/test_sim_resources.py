@@ -1,6 +1,9 @@
 """Unit and property tests for Resource/Store/UtilizationTracker."""
 # simlint: disable-file=P202 -- tests deliberately leak an acquire to assert the leak is observable
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -269,3 +272,169 @@ def test_resource_conservation_property(holds, capacity):
     assert sim.now <= total + 1e-9
     assert sim.now >= total / capacity - 1e-9
     assert res.available == capacity
+
+
+# ------------------------------------------------------------ hold contract
+
+
+def _mixed_storm(capacity):
+    """Uncontended and contended ``use`` plus ``acquire``/``release``.
+
+    Zero-length thinks and holds make acquirers queue and be granted at
+    the instant they arrived (a wait of exactly 0), and a monitor reads
+    both utilization windows mid-run and resets the tracker's once, so
+    ``ResourceStats`` and ``UtilizationTracker`` advance their integrals
+    at different instants.
+    Returns everything the hold contract pins: the dispatched
+    ``(when, seq)`` stream, the final ``_sequence`` and the accounting.
+    """
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity, name="storm")
+    rng = random.Random(41 + capacity)
+    stream = []
+
+    class StreamRecorder:
+        def note_event(self, record):
+            stream.append((record[0], record[1]))
+
+    sim.recorder = StreamRecorder()
+
+    def worker(rounds):
+        for _ in range(rounds):
+            think = rng.choice((0.0, 0.0, 0.37, 1.1, 2.3))
+            if think:
+                yield sim.timeout(think)
+            if rng.random() < 0.6:
+                yield from res.use(rng.choice((0.0, 0.0, 0.13, 0.29)))
+            else:
+                yield from res.acquire()
+                try:
+                    yield sim.timeout(rng.choice((0.0, 0.11, 0.23)))
+                finally:
+                    res.release()
+
+    def monitor():
+        for tick in range(12):
+            yield sim.timeout(0.37)
+            if tick == 5:
+                res.tracker.reset_window()
+            elif tick % 2:
+                res.stats.utilization()
+            else:
+                res.tracker.utilization()
+
+    for index in range(3 * capacity + 1):
+        sim.spawn(worker(60 + index), name="w%d" % index)
+    sim.spawn(monitor(), name="monitor")
+    sim.run()
+    stats = res.stats
+    return {
+        "records": len(stream),
+        "stream_sha256": hashlib.sha256(repr(stream).encode()).hexdigest(),
+        "sequence": sim._sequence,
+        "stats": stats.as_dict(),
+        "stats_busy": stats.busy_time.hex(),
+        "stats_wait": stats.total_wait.hex(),
+        "queue_integral": stats.queue_integral.hex(),
+        "tracker_busy": res.tracker.busy_time.hex(),
+    }
+
+
+# Recorded from the generator-based Resource (a gate Event per contended
+# wait, a Simulator.hold record per hold): the one-record holds must
+# dispatch the same (when, seq) stream and accumulate bit-identical
+# figures.
+_STORM_EXPECTED = {
+    1: {
+        "records": 499,
+        "stream_sha256": (
+            "6f6a2e752a4f3f71d2e3e9a42410204c"
+            "69410c69ae2c9839511505be42ea9a56"),
+        "sequence": 499,
+        "stats": {
+            "capacity": 1, "utilization": 0.368370431, "busy_s": 26.81,
+            "acquisitions": 246, "contended": 64, "wait_s": 11.3,
+            "mean_wait_s": 0.045934959, "max_wait_s": 0.4, "p95_wait_s": 0.4,
+            "mean_queue": 0.155262435,
+        },
+        "stats_busy": "0x1.acf5c28f5c27ep+4",
+        "stats_wait": "0x1.6999999999988p+3",
+        "queue_integral": "0x1.6999999999988p+3",
+        "tracker_busy": "0x1.a0f5c28f5c27ep+4",
+    },
+    2: {
+        "records": 821,
+        "stream_sha256": (
+            "bdc96ae9c33832e0678927de3b033886"
+            "5e94118b406f5749cb4ca604254acaa2"),
+        "sequence": 821,
+        "stats": {
+            "capacity": 2, "utilization": 0.35427274, "busy_s": 51.49,
+            "acquisitions": 441, "contended": 83, "wait_s": 8.76,
+            "mean_wait_s": 0.019863946, "max_wait_s": 0.3,
+            "p95_wait_s": 0.262144, "mean_queue": 0.120544929,
+        },
+        "stats_busy": "0x1.9beb851eb8515p+5",
+        "stats_wait": "0x1.1851eb851eb9ap+3",
+        "queue_integral": "0x1.1851eb851eb9ap+3",
+        "tracker_busy": "0x1.90147ae147ad7p+5",
+    },
+}
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_mixed_storm_matches_recorded_stream_and_accounting(capacity):
+    assert _mixed_storm(capacity) == _STORM_EXPECTED[capacity]
+
+
+def test_use_rejects_negative_duration_before_queueing(sim):
+    res = Resource(sim, capacity=1)
+    unchanged = []
+
+    def state():
+        return (sim._sequence, res.available, res.queue_length,
+                res.stats.acquisitions, res.stats._queue_len)
+
+    def attempt():
+        before = state()
+        with pytest.raises(ValueError):
+            res.use(-1.0)  # simlint: disable=P203 -- raises before acting
+        unchanged.append(state() == before)
+
+    def caller():
+        attempt()                   # a unit is free
+        yield sim.timeout(1.0)
+        attempt()                   # the holder has the only unit
+
+    def holder():
+        yield from res.use(5.0)
+
+    sim.spawn(caller())
+    sim.spawn(holder())
+    sim.run()
+    assert unchanged == [True, True]
+    assert res.stats.acquisitions == 1
+    assert res.available == 1
+
+
+def test_use_outside_a_process_raises_before_taking_a_unit(sim):
+    res = Resource(sim, capacity=1)
+    with pytest.raises(SimulationError):
+        res.use(1.0)  # simlint: disable=P203 -- raises before acting
+    assert res.available == 1
+    assert res.queue_length == 0
+    assert res.stats.acquisitions == 0
+    assert sim._sequence == 0 and not sim._calendar
+
+
+def test_release_beyond_acquires_rejected(sim):
+    res = Resource(sim, capacity=2)
+
+    def worker():
+        yield from res.acquire()
+        res.release()
+        res.release()
+
+    with pytest.raises(SimulationError):
+        sim.run_process(worker())
+    assert res.available == 2
