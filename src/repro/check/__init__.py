@@ -1,24 +1,14 @@
 """Correctness tooling: the simulator-discipline linter and sanitizers.
 
-* :mod:`repro.check.simlint` — a whole-program AST linter for
-  determinism hazards (D-rules), process discipline (P-rules),
-  observability discipline (O-rules), shard safety (S-rules), and
-  protocol state-machines (M-rules).  Per-file scans are layered with
-  cross-module passes from :mod:`repro.check.graph` /
-  :mod:`repro.check.dataflow` / :mod:`repro.check.statemachine`.
-  CLI: ``repro lint [paths] [--format text|json|sarif] [--fix]
+* :mod:`repro.check.simlint` — a per-file AST linter for determinism
+  hazards (D-rules), process discipline (P-rules) and observability
+  discipline (O-rules).  CLI: ``repro lint [paths] [--format text|json]
   [--debt]``.
-* :mod:`repro.check.fixer` — autofix for the mechanical rules
-  (``--fix``): sorted() wraps, RNG seeding, hook guards.
-* :mod:`repro.check.sarif` — SARIF 2.1.0 output and an offline
-  structural validator for the CI code-scanning artifact.
 * :mod:`repro.check.simsan` — opt-in runtime sanitizers (deadlocks,
   resource leaks, event-order ties, message/reply/task conservation).
   CLI: ``--san`` on the workload-running subcommands.
 """
 
-from .fixer import FIXABLE, fix_paths, fix_source
-from .sarif import format_sarif, validate_sarif
 from .simlint import (
     RULES,
     Rule,
@@ -29,7 +19,6 @@ from .simlint import (
     format_json,
     format_text,
     lint_paths,
-    lint_program,
     lint_source,
 )
 from .simsan import (
@@ -46,18 +35,12 @@ __all__ = [
     "Rule",
     "Suppression",
     "Violation",
-    "FIXABLE",
     "collect_suppressions",
-    "fix_paths",
-    "fix_source",
     "format_debt",
     "format_json",
-    "format_sarif",
     "format_text",
     "lint_paths",
-    "lint_program",
     "lint_source",
-    "validate_sarif",
     "CheckedSimulator",
     "Finding",
     "RpcSan",

@@ -14,33 +14,21 @@ Rule families
   the same seed diverge.
 * **P-rules** — simulator process discipline: misuse of the
   generator-coroutine protocol of :mod:`repro.sim`.
-* **O-rules** — observability discipline: tracer hooks that bypass the
-  zero-cost ``NULL_TRACER`` pattern and would perturb untraced timing.
-* **S-rules** — shard safety: the static twin of the S4xx runtime
-  sanitizers; cross-shard effects that bypass ``ShardedTransport``,
-  delays that can land below a shard pair's conservative lookahead, and
-  merge keys that drop the ``(when, src_shard, src_seq)`` tie-breakers.
-* **M-rules** — protocol state-machines: declarative op-order specs
-  (:mod:`repro.check.statemachine`) checked against the MC/S CmdSN
-  scheduler, the pNFS layout router, and the NFS replay-semantics table.
+* **O-rules** — observability discipline: tracer, telemetry and
+  flight-recorder hooks that bypass their zero-cost guard and would
+  perturb an uninstrumented run.
 
-Whole-program mode
-------------------
-:func:`lint_paths` builds a cross-module symbol graph
-(:mod:`repro.check.graph`) over the whole lint run and layers three
-interprocedural passes (:mod:`repro.check.dataflow`) on top of the
-per-file scan: D101/D102 taint that flows through helper functions into
-sim-visible sinks, O301–O303 guard inference across function boundaries
-(a helper whose every call site is guarded is clean), and S503 named
-sort keys resolved in other modules.  :func:`lint_source` stays the
-fast single-buffer entry point.
+Every rule is a per-file check: :func:`lint_paths` lints each file on
+its own, and the whole-repo result is the sorted union.
 
 Suppression
 -----------
 Append ``# simlint: disable=D101`` (comma-separate several codes, or use
 ``all``) to the flagged line, or put ``# simlint: disable-file=D101``
 anywhere in the file to suppress a code file-wide.  Suppressions should
-carry a human reason on the same comment.
+carry a human reason on the same comment.  ``repro lint --debt`` lists
+every suppression and fails on one without a reason, or one that names
+a code no rule has (a typo suppresses nothing).
 
 Entry points: :func:`lint_source` for one buffer, :func:`lint_paths` for
 files/directory trees, and ``repro lint`` on the command line.
@@ -62,7 +50,6 @@ __all__ = [
     "Suppression",
     "lint_source",
     "lint_paths",
-    "lint_program",
     "collect_suppressions",
     "format_text",
     "format_json",
@@ -101,24 +88,6 @@ _RULE_LIST = (
     Rule("O303", "unguarded-recorder-hook",
          "guard flight-recorder hooks with `if recorder is not None:` "
          "(opt-in layer)"),
-    Rule("S501", "cross-shard-direct-access",
-         "route cross-shard effects through ShardedTransport/Shard.post(); "
-         "never touch another shard's calendar or ports directly"),
-    Rule("S502", "post-below-lookahead",
-         "derive the cross-shard delay from the link latency/lookahead "
-         "so it cannot land below the pair's conservative horizon"),
-    Rule("S503", "nondeterministic-merge-key",
-         "merge shard messages by (when, src_shard, src_seq); a bare "
-         ".when key makes equal-time order executor-dependent"),
-    Rule("M601", "cmdsn-discipline",
-         "keep CmdSN allocation monotonic (issue order, before the first "
-         "yield) and completion in-order behind the _next_done gate"),
-    Rule("M602", "layout-before-io",
-         "resolve the pNFS layout (_home/_at_home/_route_fd) before "
-         "touching a self.clients connection"),
-    Rule("M603", "replay-table-coverage",
-         "keep one try/except handler per replay-semantics table row "
-         "(EEXIST on replayed CREATE/MKDIR, ENOENT on REMOVE/RMDIR/RENAME)"),
 )
 
 RULES: Dict[str, Rule] = {rule.code: rule for rule in _RULE_LIST}
@@ -189,24 +158,6 @@ _TELEM_HOOKS = frozenset({"count", "observe"})
 # opt-in contract as telemetry: the disabled layer is the attribute being
 # None, so every hook must sit under an `if recorder is not None:` check.
 _RECORDER_HOOKS = frozenset({"note_event", "note_message", "dump"})
-
-# S501: shard-internal state that only the owning shard may mutate.
-# Reaching it through a subscript of a shard collection (`shards[i]`)
-# is the static shape of a cross-shard write bypassing ShardedTransport.
-_SHARD_INTERNAL = frozenset({
-    "sim", "outbox", "ports", "pending", "inbox", "calendar",
-})
-_SHARD_MUTATORS = frozenset({
-    "schedule_at", "schedule", "append", "extend", "add", "insert",
-    "push", "update", "setdefault", "pop", "remove", "clear",
-})
-# The sharded kernel itself owns this state and is exempt from S501.
-_SHARD_KERNEL_MODULE = "repro.sim.shard"
-
-# S502: names that tie a cross-shard delay to the link's conservative
-# horizon; a delay expression mentioning none of these (or a bare
-# literal) can land below the pair's lookahead.
-_DELAY_SOURCES = ("delay", "latency", "lookahead", "rtt")
 
 _DISABLE_LINE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9,\s]+)")
 _DISABLE_FILE = re.compile(r"#\s*simlint:\s*disable-file=([A-Za-z0-9,\s]+)")
@@ -495,69 +446,6 @@ def _mentions_recorder(test: ast.expr) -> bool:
     return False
 
 
-def _receiver_name(value: ast.AST) -> Optional[str]:
-    """The rightmost name of a call receiver (unwrapping a call chain)."""
-    if isinstance(value, ast.Call):
-        value = value.func
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    if isinstance(value, ast.Name):
-        return value.id
-    return None
-
-
-def _shard_internal_access(func: ast.Attribute) -> Optional[Tuple[str, str]]:
-    """``(collection, attr)`` when a call reaches shard-internal state.
-
-    Matches the S501 shape: a subscript of a shard-ish collection
-    (``shards[i]``/``self.shards[dst]``) followed by one of the
-    :data:`_SHARD_INTERNAL` attributes — another shard's calendar,
-    ports, or outbox reached without going through the transport.
-    """
-    attrs: List[str] = []
-    node = func.value
-    while isinstance(node, ast.Attribute):
-        attrs.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Subscript):
-        return None
-    name = _receiver_name(node.value)
-    if name is None or "shard" not in name.lower():
-        return None
-    internal = _SHARD_INTERNAL.intersection(attrs)
-    if not internal:
-        return None
-    return name, sorted(internal)[0]
-
-
-def _mentions_delay_source(expr: ast.AST) -> bool:
-    """True when a delay expression ties itself to the link horizon."""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Attribute):
-            name = node.attr.lower()
-        elif isinstance(node, ast.Name):
-            name = node.id.lower()
-        else:
-            continue
-        if any(source in name for source in _DELAY_SOURCES):
-            return True
-    return False
-
-
-def _lambda_key_fields(lam: ast.Lambda) -> Optional[frozenset]:
-    """Attribute names a lambda sort key reads off its parameter."""
-    if not lam.args.args:
-        return None
-    param = lam.args.args[0].arg
-    fields = set()
-    for node in ast.walk(lam.body):
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == param):
-            fields.add(node.attr)
-    return frozenset(fields)
-
-
 def _try_releases(try_node: ast.Try) -> bool:
     """True when the try's finalbody calls ``.release()`` on something."""
     for stmt in try_node.finalbody:
@@ -572,10 +460,8 @@ def _try_releases(try_node: ast.Try) -> bool:
 class _Linter(ast.NodeVisitor):
     """Single-pass visitor; collects Violation records in ``found``."""
 
-    def __init__(self, path: str, tree: ast.Module,
-                 module: Optional[str] = None):
+    def __init__(self, path: str, tree: ast.Module):
         self.path = path
-        self.module = module
         self.found: List[Violation] = []
         # Parent links for ancestor queries (guards, try/finally shape).
         self.parents: Dict[ast.AST, ast.AST] = {}
@@ -678,65 +564,6 @@ class _Linter(ast.NodeVisitor):
                     node, "P201",
                     "%s() given %s(), which never yields and so is "
                     "not a process" % (node.func.attr, first.func.id))
-
-        # S501: another shard's internal state mutated directly.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SHARD_MUTATORS
-                and self.module != _SHARD_KERNEL_MODULE):
-            access = _shard_internal_access(node.func)
-            if access is not None:
-                collection, internal = access
-                self._report(
-                    node, "S501",
-                    "%s[...].%s.%s() mutates shard-internal state across "
-                    "the shard boundary, bypassing ShardedTransport"
-                    % (collection, internal, node.func.attr))
-
-        # S502: cross-shard post whose delay ignores the lookahead.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "post"):
-            receiver = _receiver_name(node.func.value)
-            delay = None
-            if len(node.args) >= 4:
-                delay = node.args[3]
-            else:
-                for keyword in node.keywords:
-                    if keyword.arg == "delay":
-                        delay = keyword.value
-            if (receiver is not None and "shard" in receiver.lower()
-                    and delay is not None):
-                if (isinstance(delay, ast.Constant)
-                        and isinstance(delay.value, (int, float))
-                        and not isinstance(delay.value, bool)):
-                    self._report(
-                        node, "S502",
-                        "cross-shard post with literal delay %r can land "
-                        "below the shard pair's lookahead" % (delay.value,))
-                elif not _mentions_delay_source(delay):
-                    self._report(
-                        node, "S502",
-                        "cross-shard post delay is not derived from the "
-                        "link latency/lookahead")
-
-        # S503: a sort key on shard messages that drops the tie-breakers.
-        is_sort = (isinstance(node.func, ast.Attribute)
-                   and node.func.attr == "sort")
-        is_sorted = (isinstance(node.func, ast.Name)
-                     and node.func.id == "sorted")
-        if is_sort or is_sorted:
-            for keyword in node.keywords:
-                if keyword.arg != "key":
-                    continue
-                if not isinstance(keyword.value, ast.Lambda):
-                    continue  # named keys: the whole-program pass
-                fields = _lambda_key_fields(keyword.value)
-                if (fields and "when" in fields
-                        and not any("seq" in field for field in fields)):
-                    self._report(
-                        node, "S503",
-                        "sort key orders messages by .when without a "
-                        "sequence tie-breaker; equal-time merge order is "
-                        "executor-dependent")
 
         # O301: tracer hooks outside the `.enabled` guard.
         if (isinstance(node.func, ast.Attribute)
@@ -882,17 +709,12 @@ class _Linter(ast.NodeVisitor):
 # -- public API ---------------------------------------------------------------
 
 
-def _collect(tree: ast.Module, path: str,
-             module: Optional[str] = None) -> List[Violation]:
+def _collect(tree: ast.Module, path: str) -> List[Violation]:
     """All unsuppressed per-file findings for one parsed buffer."""
-    linter = _Linter(path, tree, module=module)
+    linter = _Linter(path, tree)
     linter.visit(tree)
     found = list(linter.found)
     found.extend(_check_laundering(tree, path))
-    if module is not None:
-        from . import statemachine
-
-        found.extend(statemachine.check_module(tree, path, module))
     return found
 
 
@@ -910,18 +732,11 @@ def _filter_suppressed(violations: Iterable[Violation],
     return out
 
 
-def lint_source(source: str, path: str = "<string>",
-                module: Optional[str] = None) -> List[Violation]:
-    """Lint one source buffer; returns suppression-filtered violations.
-
-    ``module`` is the dotted module name, when known: it scopes the
-    M6xx protocol state-machine specs (which only fire for their target
-    modules) and the S501 kernel exemption.
-    """
+def lint_source(source: str, path: str = "<string>") -> List[Violation]:
+    """Lint one source buffer; returns suppression-filtered violations."""
     tree = ast.parse(source, filename=path)
     by_line, file_wide = _parse_suppressions(source)
-    out = _filter_suppressed(_collect(tree, path, module), by_line,
-                             file_wide)
+    out = _filter_suppressed(_collect(tree, path), by_line, file_wide)
     out.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return out
 
@@ -942,78 +757,22 @@ def _iter_py_files(paths: Sequence[str]) -> List[str]:
     return files
 
 
-def lint_paths(paths: Sequence[str],
-               program: bool = True) -> List[Violation]:
+def lint_paths(paths: Sequence[str]) -> List[Violation]:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    By default the whole-program passes run on top of the per-file scan
-    (``program=False`` restores the v1 per-file-only behaviour, used by
-    the autofixer between passes).
+    A file reached twice (say, as a path and under a listed directory)
+    is linted once.
     """
-    files: List[str] = []
+    out: List[Violation] = []
     seen: Set[str] = set()
     for filename in _iter_py_files(paths):
         resolved = os.path.abspath(filename)
         if resolved in seen:
             continue
         seen.add(resolved)
-        files.append(filename)
-    if program:
-        return lint_program(files)
-    from .graph import module_name_for
-
-    out: List[Violation] = []
-    for filename in files:
         with open(filename, encoding="utf-8") as handle:
             source = handle.read()
-        out.extend(lint_source(source, path=filename,
-                               module=module_name_for(filename)))
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return out
-
-
-def lint_program(files: Sequence[str]) -> List[Violation]:
-    """Whole-program lint: per-file scan + graph-based passes.
-
-    Pipeline: build the symbol graph once; run the per-file rules (with
-    module names, so the M6xx specs fire); drop O3xx findings whose
-    enclosing helper is guarded at every call site; add interprocedural
-    D101/D102 taint flows and cross-module S503 sort keys; then apply
-    each file's suppression comments to the merged result.
-    """
-    from . import dataflow
-    from .graph import build_program
-
-    graph = build_program(files)
-    violations: List[Violation] = []
-    seen_modules: Set[str] = set()
-    for name in graph.order:
-        if name in seen_modules:
-            continue
-        seen_modules.add(name)
-        module = graph.modules[name]
-        violations.extend(_collect(module.tree, module.path, module.name))
-    violations = dataflow.drop_guarded_hook_violations(graph, violations)
-    summaries = dataflow.compute_return_taints(graph)
-    violations.extend(dataflow.find_taint_flows(graph, summaries))
-    violations.extend(dataflow.find_sort_key_hazards(graph))
-
-    suppressions = {
-        module.path: _parse_suppressions(module.source)
-        for module in graph.modules.values()
-    }
-    out: List[Violation] = []
-    emitted: Set[Violation] = set()
-    for violation in violations:
-        parsed = suppressions.get(violation.path)
-        if parsed is not None:
-            kept = _filter_suppressed([violation], parsed[0], parsed[1])
-            if not kept:
-                continue
-        if violation in emitted:
-            continue
-        emitted.add(violation)
-        out.append(violation)
+        out.extend(lint_source(source, path=filename))
     out.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return out
 
@@ -1041,6 +800,18 @@ class Suppression:
     scope: str            # "line" or "file"
     codes: Tuple[str, ...]
     reason: str           # "" when the comment carries no justification
+
+    @property
+    def unknown_codes(self) -> Tuple[str, ...]:
+        """The named codes that are not rules (``all`` is fine)."""
+        return tuple(code for code in self.codes
+                     if code != "all" and code not in RULES)
+
+    @property
+    def names_no_rule(self) -> bool:
+        """True when the comment names no code, or a code no rule has:
+        it then fails to suppress what its author meant it to."""
+        return not self.codes or bool(self.unknown_codes)
 
 
 def _split_codes_reason(blob: str, tail: str) -> Tuple[Tuple[str, ...], str]:
@@ -1099,17 +870,23 @@ def format_debt(suppressions: Sequence[Suppression]) -> str:
     if not suppressions:
         return "simlint debt: no suppressions"
     lines = []
-    missing = 0
+    missing = stray = 0
     for sup in suppressions:
         reason = sup.reason or "NO REASON"
         if not sup.reason:
             missing += 1
-        lines.append("%s:%d: [%s] %s — %s"
-                     % (sup.path, sup.line, sup.scope,
-                        ",".join(sup.codes) or "?", reason))
-    lines.append("simlint debt: %d suppression%s (%d without a reason)"
+        line = ("%s:%d: [%s] %s — %s"
+                % (sup.path, sup.line, sup.scope,
+                   ",".join(sup.codes) or "?", reason))
+        if sup.names_no_rule:
+            stray += 1
+            line += " — NO SUCH RULE %s" % (
+                ",".join(sup.unknown_codes) or "(no code)")
+        lines.append(line)
+    lines.append("simlint debt: %d suppression%s (%d without a reason, "
+                 "%d naming no rule)"
                  % (len(suppressions),
-                    "" if len(suppressions) == 1 else "s", missing))
+                    "" if len(suppressions) == 1 else "s", missing, stray))
     return "\n".join(lines)
 
 

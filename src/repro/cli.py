@@ -22,7 +22,7 @@ Usage::
     python -m repro dash <workload> [--stack KIND ...] [--html FILE]
     python -m repro explain <workload> [--stack-a KIND] [--stack-b KIND]
     python -m repro explain <workload> --bench-a OLD.json --bench-b NEW.json
-    python -m repro lint [paths ...] [--format text|json]
+    python -m repro lint [paths ...] [--format text|json] [--debt]
 
 Each artifact subcommand runs the corresponding experiment at a tractable
 scale and prints the same rows the paper reports.  Under the hood every
@@ -41,7 +41,8 @@ list`` enumerates every subcommand.  For the asserted paper-vs-measured
 comparison, run the pytest benchmarks instead (see README).
 
 ``lint`` runs the simulator-discipline linter (repro.check.simlint)
-over source trees; ``--san`` on the workload-running subcommands
+over source trees (``--debt`` audits its suppressions); ``--san`` on
+the workload-running subcommands
 (quick, trace, bench, faults) attaches the runtime sanitizers
 (repro.check.simsan) — checks observe without perturbing, so sanitized
 outputs are bit-identical to unsanitized ones.
@@ -1216,26 +1217,14 @@ def cmd_lint(args) -> int:
     if args.debt:
         suppressions = simlint.collect_suppressions(paths)
         print(simlint.format_debt(suppressions))
-        # A suppression without a written reason is debt that fails CI.
-        return 1 if any(not s.reason for s in suppressions) else 0
-
-    if args.fix:
-        from .check import fixer
-
-        fixed = fixer.fix_paths(paths)
-        for path in sorted(fixed):
-            print("fixed %s: %d rewrite%s"
-                  % (path, fixed[path], "" if fixed[path] == 1 else "s"))
-        if not fixed:
-            print("nothing to fix")
+        # A suppression without a written reason, or one naming no rule
+        # (so suppressing nothing), is debt that fails CI.
+        return 1 if any(not s.reason or s.names_no_rule
+                        for s in suppressions) else 0
 
     violations = simlint.lint_paths(paths)
     if args.format == "json":
         print(simlint.format_json(violations))
-    elif args.format == "sarif":
-        from .check import sarif
-
-        print(sarif.format_sarif(violations))
     else:
         print(simlint.format_text(violations))
     return 1 if violations else 0
@@ -1538,17 +1527,12 @@ def build_parser() -> argparse.ArgumentParser:
     li.add_argument("paths", nargs="*", metavar="PATH",
                     help="files or directories to lint "
                          "(default: the installed repro package)")
-    li.add_argument("--format", choices=["text", "json", "sarif"],
-                    default="text",
-                    help="report format (default text; sarif is a 2.1.0 "
-                         "document for CI code-scanning annotations)")
-    li.add_argument("--fix", action="store_true",
-                    help="autofix the mechanical rules in place "
-                         "(sorted() wraps, Random(0) seeds, hook guards) "
-                         "before reporting what remains")
+    li.add_argument("--format", choices=["text", "json"], default="text",
+                    help="report format (default text)")
     li.add_argument("--debt", action="store_true",
                     help="report every `# simlint: disable` suppression "
-                         "with its reason; exits 1 if any lacks one")
+                         "with its reason; exits 1 if any lacks one or "
+                         "names a code that is not a rule")
     li.set_defaults(func=cmd_lint)
     return parser
 

@@ -9,6 +9,7 @@ sanitized run reports nothing and produces bit-identical results.
 from __future__ import annotations
 
 import heapq
+import json
 import os
 
 import pytest
@@ -20,6 +21,7 @@ from repro.check.simsan import (
     Finding,
     SanitizerError,
 )
+from repro.cli import main
 from repro.core.comparison import make_stack
 from repro.net.message import Message
 from repro.obs import bench
@@ -299,8 +301,7 @@ def test_o303_suppressed():
 def test_rule_catalog_and_hints():
     assert set(simlint.RULES) == {
         "D101", "D102", "D103", "D104", "P201", "P202", "P203",
-        "O301", "O302", "O303", "S501", "S502", "S503",
-        "M601", "M602", "M603",
+        "O301", "O302", "O303",
     }
     violations = lint_source("import time\nt = time.time()\n")
     assert len(violations) == 1
@@ -313,7 +314,6 @@ def test_format_text_and_json():
     assert "x.py:2:" in text and "D101" in text
     assert text.endswith("simlint: 1 violation")
     assert simlint.format_text([]) == "simlint: clean"
-    import json
     doc = json.loads(simlint.format_json(violations))
     assert doc["tool"] == "simlint"
     assert doc["violations"][0]["code"] == "D101"
@@ -321,10 +321,117 @@ def test_format_text_and_json():
 
 
 def test_repo_tree_is_lint_clean():
+    # The package; the tests and benchmarks are held to the same
+    # contract in test_check_program.py.
     import repro
 
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     assert simlint.lint_paths([package_dir]) == []
+
+
+@pytest.fixture
+def dirty_tree(tmp_path):
+    (tmp_path / "dirty.py").write_text(
+        "import time\n"
+        "import random\n"
+        "def go(sim):\n"
+        "    t = time.time()\n"
+        "    rng = random.Random()\n"
+        "    for x in {'b', 'a'}:\n"
+        "        sim.log(x)\n")
+    return tmp_path
+
+
+def test_lint_paths_is_deterministic_across_reruns(dirty_tree):
+    (dirty_tree / "second.py").write_text(
+        "import random\n"
+        "x = random.random()\n")
+    first = simlint.lint_paths([str(dirty_tree)])
+    second = simlint.lint_paths([str(dirty_tree)])
+    assert [v.code for v in first] == ["D101", "D102", "D103", "D102"]
+    assert first == second
+    assert simlint.format_json(first) == simlint.format_json(second)
+
+
+# ------------------------------------------------------- simlint: the CLI
+
+
+def test_cli_exit_codes(dirty_tree, tmp_path, capsys):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    (clean / "ok.py").write_text("x = 1\n")
+    assert main(["lint", str(clean)]) == 0
+    assert main(["lint", str(dirty_tree / "dirty.py")]) == 1
+    capsys.readouterr()
+
+
+def test_cli_json_is_stable_and_sorted(dirty_tree, capsys):
+    main(["lint", "--format", "json", str(dirty_tree)])
+    first = capsys.readouterr().out
+    main(["lint", "--format", "json", str(dirty_tree)])
+    second = capsys.readouterr().out
+    assert first == second
+    document = json.loads(first)
+    assert list(document) == sorted(document)
+    assert json.dumps(document, indent=2, sort_keys=True) + "\n" == first
+
+
+def test_cli_debt_exit_codes(tmp_path, capsys):
+    reasoned = tmp_path / "reasoned.py"
+    reasoned.write_text(
+        "import time\n"
+        "t = time.time()  # simlint: disable=D101 -- host timing\n")
+    assert main(["lint", "--debt", str(reasoned)]) == 0
+    out = capsys.readouterr().out
+    assert "host timing" in out and "0 without a reason" in out
+    bare = tmp_path / "bare.py"
+    bare.write_text(
+        "import time\n"
+        "t = time.time()  # simlint: disable=D101\n")
+    assert main(["lint", "--debt", str(bare)]) == 1
+    assert "NO REASON" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("comment, stray", [
+    ("disable=D105 -- typo", "D105"),
+    ("disable-file=S502,D104 -- a deleted rule's code", "S502"),
+    ("disable=d101 -- lower case is not a code", "(no code)"),
+], ids=["typo", "deleted-rule", "no-code"])
+def test_cli_debt_fails_on_suppressions_naming_no_rule(tmp_path, capsys,
+                                                       comment, stray):
+    path = tmp_path / "stray.py"
+    path.write_text("import time\nt = time.time()  # simlint: %s\n"
+                    % comment)
+    assert main(["lint", "--debt", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "NO SUCH RULE %s" % stray in out
+    assert "0 without a reason, 1 naming no rule" in out
+    # ``all`` is a wildcard, not a stray code.
+    path.write_text("x = 1  # simlint: disable=all -- generated file\n")
+    assert main(["lint", "--debt", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_debt_ignores_suppressions_inside_strings(tmp_path):
+    (tmp_path / "fixture.py").write_text(
+        'SRC = "x = 1  # simlint: disable=D101"\n'
+        "y = 2  # simlint: disable=D104 -- real one\n")
+    suppressions = simlint.collect_suppressions([str(tmp_path)])
+    assert len(suppressions) == 1
+    assert suppressions[0].line == 2
+    assert suppressions[0].codes == ("D104",)
+    assert suppressions[0].reason == "real one"
+
+
+def test_debt_parses_file_wide_scope(tmp_path):
+    (tmp_path / "wide.py").write_text(
+        "# simlint: disable-file=O301,O302 -- fixtures drive hooks\n"
+        "x = 1\n")
+    suppressions = simlint.collect_suppressions([str(tmp_path)])
+    assert len(suppressions) == 1
+    assert suppressions[0].scope == "file"
+    assert suppressions[0].codes == ("O301", "O302")
+    assert suppressions[0].reason == "fixtures drive hooks"
 
 
 # ------------------------------------------------------------------- simsan

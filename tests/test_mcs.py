@@ -215,3 +215,53 @@ def test_mcs_connections_share_one_target():
     assert session.release_order == sorted(session.release_order)
     # All connections dispatch into the one target (shared volume).
     assert stack.target.commands_served >= session.commands_issued
+
+
+class _ScriptedRpc:
+    """A connection whose reply delay is scripted per CmdSN; ``None``
+    means the reply died with the old session and never arrives."""
+
+    def __init__(self, sim, delays):
+        self.sim = sim
+        self.delays = delays
+
+    def call(self, op, payload_bytes=0, header_bytes=48, **body):
+        delay = self.delays[body["cmdsn"]]
+        if delay is None:
+            yield self.sim.event()   # lost forever: never triggered
+        yield self.sim.timeout(delay)
+        return ("reply", op, body["cmdsn"])
+
+
+def test_late_pre_reset_release_keeps_post_reset_commands_in_order():
+    sim = Simulator()
+    # CmdSN 0 and 2 die with the old session; CmdSN 1 answers and parks
+    # behind 0.  After the reset, CmdSN 3 answers after CmdSN 4.
+    rpc = _ScriptedRpc(sim, {0: None, 1: 0.001, 2: None,
+                             3: 0.010, 4: 0.001})
+    session = McsSession(sim, [rpc])
+    done = []
+
+    def one(tag):
+        yield from session.call(tag)
+        done.append(tag)
+
+    def supervisor():
+        yield sim.timeout(0.050)
+        # The parked CmdSN 1 is released by the reset and retires after
+        # it: that late release must not pull the completion cursor back
+        # below the first post-reset CmdSN, or every later command waits
+        # behind CmdSN 2, which will never answer.
+        session.reset()
+        yield sim.timeout(0.010)
+        sim.spawn(one("post-slow"), name="post-slow")
+        sim.spawn(one("post-fast"), name="post-fast")
+
+    for tag in ("lost-0", "parked", "lost-2"):
+        sim.spawn(one(tag), name=tag)
+    sim.run_process(supervisor(), name="supervisor")
+    sim.run()
+    assert done == ["parked", "post-slow", "post-fast"]
+    assert session.arrival_order == [1, 4, 3]
+    assert session.release_order == [1, 3, 4]
+    assert session.held_now == 0

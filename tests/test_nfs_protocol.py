@@ -312,3 +312,111 @@ def test_v4_delegated_file_skips_read_revalidation():
 
     before, after = stack.run(work())
     assert after == before    # delegation: no consistency check
+
+
+# ------------------------------------------------------- replay semantics
+
+
+class _OneShot:
+    """Transport fault that hits only the first ``op`` message going one
+    way: ``forward`` picks requests (client to server) or replies."""
+
+    def __init__(self, op, forward, verdict, extra=0.0):
+        self.op = op
+        self.forward = forward
+        self.verdict = verdict
+        self.extra = extra
+        self.hits = 0
+
+    def filter_message(self, message, forward):
+        if forward == self.forward and message.op == self.op \
+                and not self.hits:
+            self.hits += 1
+            return self.verdict, self.extra
+        return None, 0.0
+
+
+def _make_file(c, path):
+    fd = yield from c.creat(path)
+    yield from c.close(fd)
+
+
+# One row per replay-table handler in NfsClient:
+# syscall -> (wire op, error a replay absorbs, setup, call, names in /)
+_REPLAY_ROWS = {
+    "mkdir": (p.MKDIR, FileExists, None,
+              lambda c: c.mkdir("/d"), ["d"]),
+    "rmdir": (p.RMDIR, FileNotFound, lambda c: c.mkdir("/d"),
+              lambda c: c.rmdir("/d"), []),
+    "creat": (p.CREATE, FileExists, None,
+              lambda c: _make_file(c, "/f"), ["f"]),
+    "unlink": (p.REMOVE, FileNotFound, lambda c: _make_file(c, "/f"),
+               lambda c: c.unlink("/f"), []),
+    "rename": (p.RENAME, FileNotFound, lambda c: _make_file(c, "/a"),
+               lambda c: c.rename("/a", "/b"), ["b"]),
+}
+
+
+def _replay_stack(setup):
+    stack = make_stack("nfsv3")
+    if setup is not None:
+        stack.run(setup(stack.client))
+    stack.quiesce()
+    return stack
+
+
+@pytest.mark.parametrize("syscall", sorted(_REPLAY_ROWS))
+def test_replayed_op_error_is_absorbed(syscall):
+    op, _error, setup, call, names = _REPLAY_ROWS[syscall]
+    stack = _replay_stack(setup)
+    # The op's first reply is lost.  Over TCP the retry resets the
+    # connection and goes out under a fresh xid, which the server's
+    # duplicate-request cache cannot answer: the op runs a second time
+    # and fails, and the reply to the retry is marked a retransmission.
+    fault = _OneShot(op, forward=False, verdict="drop")
+    stack.transport.fault = fault
+    snap = stack.snapshot()
+    stack.run(call(stack.client))
+    delta = stack.delta(snap)
+    assert fault.hits == 1
+    assert delta.by_op[op] == 2
+    assert delta.retransmissions == 1
+    stack.transport.fault = None
+    stack.make_cold()
+    assert stack.run(stack.client.readdir("/")) == names
+
+
+@pytest.mark.parametrize("syscall", sorted(_REPLAY_ROWS))
+def test_same_error_on_first_transmission_raises(syscall):
+    op, error, setup, call, names = _REPLAY_ROWS[syscall]
+    stack = _replay_stack(setup)
+    sim = stack.sim
+    # Two racing calls; the first one's request is held on the wire
+    # (inside the retransmit timer) while the second completes.  When it
+    # lands its error is real, not a replay artifact, and must surface.
+    fault = _OneShot(op, forward=True, verdict="delay", extra=0.5)
+    stack.transport.fault = fault
+    outcomes = []
+
+    def attempt():
+        try:
+            yield from call(stack.client)
+        except error:
+            outcomes.append("raised")
+        else:
+            outcomes.append("ok")
+
+    def race():
+        yield sim.all_of([sim.spawn(attempt(), name="held"),
+                          sim.spawn(attempt(), name="twin")])
+
+    snap = stack.snapshot()
+    stack.run(race())
+    delta = stack.delta(snap)
+    assert fault.hits == 1
+    assert delta.by_op[op] == 2
+    assert delta.retransmissions == 0
+    assert outcomes == ["ok", "raised"]
+    stack.transport.fault = None
+    stack.make_cold()
+    assert stack.run(stack.client.readdir("/")) == names

@@ -168,3 +168,81 @@ def test_unstriped_bed_is_untouched():
     assert bed.run(work())
     assert bed.layouts_granted == 0
     bed.close()
+
+
+def _then_settle(client, call):
+    # Writes are deferred to the page cache: settle write-back so the
+    # WRITE/COMMIT traffic lands inside the measured window.
+    yield from call
+    yield from client.quiesce()
+
+
+def _seek_then_read(client, fd):
+    # lseek is wire-silent; the read after it shows which connection
+    # holds the moved cursor.
+    client.lseek(fd, 4096)
+    got = yield from client.read(fd, 4096)
+    return got
+
+
+# Every StripedNfsClient method routed by the layout (path ops) or by
+# the fd table (fd ops).  ``dirty`` cases leave unflushed pages behind
+# before the measured call, so close/fsync have data to push.
+_ROUTED_OPS = {
+    "creat": (False, lambda c, path, fd, twin: c.creat(path)),
+    "open": (False, lambda c, path, fd, twin: c.open(path)),
+    "stat": (False, lambda c, path, fd, twin: c.stat(path)),
+    "access": (False, lambda c, path, fd, twin: c.access(path)),
+    "chmod": (False, lambda c, path, fd, twin: c.chmod(path, 0o600)),
+    "truncate": (False, lambda c, path, fd, twin: c.truncate(path, 0)),
+    "unlink": (False, lambda c, path, fd, twin: c.unlink(path)),
+    "rename": (False, lambda c, path, fd, twin: c.rename(path, twin)),
+    "read": (False, lambda c, path, fd, twin: c.read(fd, 4096)),
+    "pread": (False, lambda c, path, fd, twin: c.pread(fd, 4096, 4096)),
+    "write": (False,
+              lambda c, path, fd, twin: _then_settle(c, c.write(fd, 4096))),
+    "pwrite": (False, lambda c, path, fd, twin:
+               _then_settle(c, c.pwrite(fd, 4096, 8192))),
+    "lseek": (False, lambda c, path, fd, twin: _seek_then_read(c, fd)),
+    "fstat": (False, lambda c, path, fd, twin: c.fstat(fd)),
+    "fsync": (True, lambda c, path, fd, twin: c.fsync(fd)),
+    "close": (True, lambda c, path, fd, twin: c.close(fd)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_ROUTED_OPS))
+def test_routed_op_reaches_only_the_layout_home(op):
+    dirty, call = _ROUTED_OPS[op]
+    bed = SharedNfsTestbed(nclients=2, nservers=3, striped=True)
+    client = bed.clients[0]
+    layout = bed.layout
+    # Server 0 doubles as the metadata server: a home elsewhere makes a
+    # call misrouted to the MDS connection visible in the counters.
+    path = next("/f%d" % index for index in range(64)
+                if layout.server_for("/f%d" % index) != 0)
+    home = layout.server_for(path)
+    twin = next("/g%d" % index for index in range(64)
+                if layout.server_for("/g%d" % index) == home)
+
+    def setup():
+        fd = yield from client.creat(twin)   # rename's target, replaced
+        yield from client.close(fd)
+        fd = yield from client.creat(path)
+        yield from client.write(fd, 16_384)
+        yield from client.close(fd)
+        fd = yield from client.open(path)
+        # Cold caches, layout still held: the call must go to the wire.
+        yield from client.drop_caches()
+        if dirty:
+            yield from client.write(fd, 4096)
+        return fd
+
+    fd = bed.run(setup())
+    before = bed.messages_by_server
+    grants = client.layout_gets
+    bed.run(call(client, path, fd, twin))
+    delta = [after - was for after, was in zip(bed.messages_by_server, before)]
+    assert client.layout_gets == grants
+    assert delta[home] > 0
+    assert delta[:home] + delta[home + 1:] == [0, 0]
+    bed.close()

@@ -7,7 +7,7 @@ src_seq)`` tie-break across every executor, partition invariance of
 the storm microbenchmark, the cross-phase watermark barrier, and the
 S407 causality sanitizer.
 """
-# simlint: disable-file=S502,D104 -- tests pick exact literal delays to probe the lookahead contract and assert exact sim times
+# simlint: disable-file=D104 -- tests assert exact sim times
 
 import pytest
 
