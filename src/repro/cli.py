@@ -4,6 +4,7 @@ Usage::
 
     python -m repro list
     python -m repro all [--jobs N] [--no-cache]
+    python -m repro verify [--jobs N]
     python -m repro table2 [--depth 0 3] [--jobs N]
     python -m repro table4 [--mb 16] [--jobs N]
     python -m repro table5 [--transactions 8000] [--files 1000]
@@ -25,20 +26,22 @@ Usage::
     python -m repro lint [paths ...] [--format text|json] [--debt]
 
 Each artifact subcommand runs the corresponding experiment at a tractable
-scale and prints the same rows the paper reports.  Under the hood every
-artifact is a list of pure experiment *cells* (one stack x workload x
-parameter point) executed by the
+scale and prints the same rows the paper reports.  Every artifact is
+described once, in :data:`repro.paper.ARTIFACTS`: a list of pure
+experiment *cells* (one stack x workload x parameter point), a renderer,
+the paper's reference numbers and its claims.  The cells run on the
 :class:`~repro.core.runner.ExperimentRunner`: pass ``--jobs N`` to fan
-the cells out over N worker processes — the merged output is
-byte-identical to a serial run.  ``repro all`` regenerates the whole
-paper in one go and additionally backs the cells with the on-disk result
-cache (``--no-cache`` disables it), so an unchanged cell costs a file
-read on re-run.
+them out over N worker processes — the merged output is byte-identical
+to a serial run.  ``repro all`` regenerates the whole paper in one go
+and additionally backs the cells with the on-disk result cache
+(``--no-cache`` disables it), so an unchanged cell costs a file read on
+re-run.  ``repro verify`` checks every claim against the cached cells,
+prints the paper-vs-measured scoreboard and exits 1 when a claim that is
+not a listed deviation fails.
 
 ``trace`` records and exports a run; ``bench`` runs the regression
 suites (see the README's "Profiling & benchmarking" section); ``repro
-list`` enumerates every subcommand.  For the asserted paper-vs-measured
-comparison, run the pytest benchmarks instead (see README).
+list`` enumerates every subcommand.
 
 ``lint`` runs the simulator-discipline linter (repro.check.simlint)
 over source trees (``--debt`` audits its suppressions); ``--san`` on
@@ -87,35 +90,20 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from . import paper
 from .core.comparison import STACK_KINDS, make_stack
-from .core.runner import Cell, ExperimentRunner
+from .core.runner import Cell, ExperimentRunner, make_cell
 from .obs.bench import SUITES as BENCH_SUITES
 from .obs.bench import WORKLOADS as TRACE_WORKLOADS
-
-
-def _print_table(headers, rows):
-    widths = [max(len(str(headers[i])),
-                  max((len(str(r[i])) for r in rows), default=0))
-              for i in range(len(headers))]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-
-
-def _cell(kind: str, /, **params: Any) -> Cell:
-    """A cell with a canonical id derived from its kind and params."""
-    spec = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return Cell("%s?%s" % (kind, spec), kind, params)
+from .paper import print_table
 
 
 def _runner(args) -> ExperimentRunner:
     """Build the runner an artifact subcommand asked for.
 
     Individual artifact commands parallelize with ``--jobs`` but never
-    touch the cache; only ``repro all`` (and ``bench --cache``) uses the
-    on-disk result cache.
+    touch the cache; only ``repro all``, ``repro verify`` (and ``bench
+    --cache``) use the on-disk result cache.
     """
     return ExperimentRunner(jobs=getattr(args, "jobs", None),
                             use_cache=False)
@@ -132,13 +120,17 @@ def iter_subcommands() -> List[str]:
 
 
 def cmd_list(_args) -> int:
+    commands = [command for entry in paper.ARTIFACTS
+                for command in entry.commands]
     print("stacks:     %s" % ", ".join(STACK_KINDS))
-    print("artifacts:  table2 table3 table4 table5 table6 table7 table8")
-    print("            table9 table10 fig3 fig4 fig5 fig6 fig7 sec7 quick")
+    for start in range(0, len(commands), 8):
+        print("%-12s%s" % ("" if start else "artifacts:",
+                           " ".join(commands[start:start + 8])))
     print("tools:      trace (record/export a run)  "
           "bench (regression suites)")
     print("            faults (degraded-mode scenarios)  "
           "all (every artifact, parallel + cached)")
+    print("            verify (check the paper's claims: the scoreboard)")
     print("            dash (streaming-telemetry dashboards)  "
           "lint (simulator-discipline linter)")
     print("            explain (differential diagnosis of two runs)")
@@ -149,331 +141,6 @@ def cmd_list(_args) -> int:
           "--telemetry attaches streaming rollups")
     print("commands:   %s" % " ".join(iter_subcommands()))
     return 0
-
-
-# -- artifact cells + renderers -----------------------------------------------
-# Every artifact is (a) a list of pure runner cells and (b) a renderer
-# that formats the merged results.  The cells functions are the single
-# source of truth for ids, so renderers look results up by regenerating
-# the same cells.
-
-SYSCALL_KINDS = ("nfsv2", "nfsv3", "nfsv4", "iscsi")
-TABLE4_MODES = ("seq-read", "rand-read", "seq-write", "rand-write")
-FIG3_BATCHES = (1, 4, 16, 64, 256, 1024)
-FIG4_DEPTHS = tuple(range(0, 17, 4))
-FIG5_SIZES = tuple(2 ** e for e in range(7, 17))
-FIG6_RTTS = (0.010, 0.030, 0.050, 0.070, 0.090)
-TRACE_LIMIT = 150_000
-
-
-def cells_quick(san: bool = False, telemetry: bool = False,
-                shards: int = 0) -> List[Cell]:
-    cells = []
-    for kind in STACK_KINDS:
-        params: Dict[str, Any] = {"kind": kind}
-        if san:
-            params["san"] = True
-        if telemetry:
-            params["telemetry"] = True
-        if shards:
-            # Conditional, like san/telemetry: the default cell ids (and
-            # the cache keys behind BENCH_quick.json) stay unchanged.
-            params["shards"] = shards
-        cells.append(_cell("quick", **params))
-    return cells
-
-
-def render_quick(results, san: bool = False, telemetry: bool = False,
-                 shards: int = 0) -> None:
-    for cell in cells_quick(san, telemetry, shards):
-        record = results[cell.id]
-        print("%-14s msgs=%-5d bytes=%-8d t=%.2fms" % (
-            cell.params["kind"], record["messages"], record["bytes"],
-            record["now_s"] * 1000))
-
-
-def cells_syscalls(depths: Tuple[int, ...], warm: bool,
-                   shards: int = 0) -> List[Cell]:
-    cells = []
-    for depth in depths:
-        for kind in SYSCALL_KINDS:
-            params: Dict[str, Any] = {"kind": kind, "depth": depth,
-                                      "warm": warm}
-            if shards:
-                params["shards"] = shards
-            cells.append(_cell("syscall_table", **params))
-    return cells
-
-
-def render_syscalls(results, depths: Tuple[int, ...], warm: bool,
-                    shards: int = 0) -> None:
-    from .workloads import SYSCALL_OPS
-
-    for depth in depths:
-        print("\n%s cache, depth %d" % ("warm" if warm else "cold", depth))
-        rows = []
-        for op in SYSCALL_OPS:
-            row = [op]
-            for kind in SYSCALL_KINDS:
-                params: Dict[str, Any] = {"kind": kind, "depth": depth,
-                                          "warm": warm}
-                if shards:
-                    params["shards"] = shards
-                cell = _cell("syscall_table", **params)
-                row.append(results[cell.id][op])
-            rows.append(row)
-        _print_table(["syscall", "v2", "v3", "v4", "iscsi"], rows)
-
-
-def cells_table4(mb: int = 16, shards: int = 0) -> List[Cell]:
-    # One cell per stack covering all four modes: the workload's shuffle
-    # RNG is shared across the modes, so they must run in one process.
-    cells = []
-    for kind in ("nfsv3", "iscsi"):
-        params: Dict[str, Any] = {"kind": kind, "mb": mb}
-        if shards:
-            params["shards"] = shards
-        cells.append(_cell("seqrand_table", **params))
-    return cells
-
-
-def render_table4(results, mb: int = 16, shards: int = 0) -> None:
-    rows = []
-    for cell in cells_table4(mb, shards):
-        by_mode = results[cell.id]
-        for mode in TABLE4_MODES:
-            record = by_mode[mode]
-            rows.append([cell.params["kind"], mode,
-                         "%.2fs" % record["completion_time"],
-                         record["messages"],
-                         "%.1fMB" % (record["bytes"] / 1e6)])
-    print("%d MB streaming I/O" % mb)
-    _print_table(["stack", "mode", "time", "messages", "bytes"], rows)
-
-
-def cells_table5(transactions: int = 5000, files: int = 1000) -> List[Cell]:
-    return [_cell("postmark", kind=kind, files=files,
-                  transactions=transactions)
-            for kind in ("nfsv3", "nfs-enhanced", "iscsi")]
-
-
-def render_table5(results, transactions: int = 5000,
-                  files: int = 1000) -> None:
-    rows = []
-    for cell in cells_table5(transactions, files):
-        record = results[cell.id]
-        rows.append([cell.params["kind"],
-                     "%.2fs" % record["completion_time"],
-                     record["messages"],
-                     "%.0f%%" % (record["server_cpu"] * 100),
-                     "%.0f%%" % (record["client_cpu"] * 100)])
-    print("PostMark: %d transactions, %d files" % (transactions, files))
-    _print_table(["stack", "time", "messages", "srv CPU", "cli CPU"], rows)
-
-
-def cells_table6(transactions: int = 1000) -> List[Cell]:
-    return [_cell("tpcc", kind=kind, transactions=transactions)
-            for kind in ("nfsv3", "iscsi")]
-
-
-def render_table6(results, transactions: int = 1000) -> None:
-    rows = []
-    base = None
-    for cell in cells_table6(transactions):
-        record = results[cell.id]
-        base = base or record["throughput"]
-        rows.append([cell.params["kind"],
-                     "%.2f" % (record["throughput"] / base),
-                     record["messages"],
-                     "%.0f%%" % (record["server_cpu"] * 100)])
-    print("TPC-C-like OLTP: %d transactions" % transactions)
-    _print_table(["stack", "tpmC (norm)", "messages", "srv CPU"], rows)
-
-
-def cells_table7(queries: int = 4, mb: int = 128) -> List[Cell]:
-    return [_cell("tpch", kind=kind, queries=queries, mb=mb)
-            for kind in ("nfsv3", "iscsi")]
-
-
-def render_table7(results, queries: int = 4, mb: int = 128) -> None:
-    rows = []
-    base = None
-    for cell in cells_table7(queries, mb):
-        record = results[cell.id]
-        base = base or record["throughput"]
-        rows.append([cell.params["kind"],
-                     "%.2f" % (record["throughput"] / base),
-                     record["messages"],
-                     "%.0f%%" % (record["server_cpu"] * 100)])
-    print("TPC-H-like DSS: %d queries over %d MB" % (queries, mb))
-    _print_table(["stack", "QphH (norm)", "messages", "srv CPU"], rows)
-
-
-def cells_table8(dirs: int = 12) -> List[Cell]:
-    return [_cell("kernel_tree", kind=kind, dirs=dirs)
-            for kind in ("nfsv3", "iscsi")]
-
-
-def render_table8(results, dirs: int = 12) -> None:
-    rows = []
-    total_files = 0
-    for cell in cells_table8(dirs):
-        record = results[cell.id]
-        total_files = record["total_files"]
-        rows.append([cell.params["kind"],
-                     "%.2fs" % record["tar_seconds"],
-                     "%.2fs" % record["ls_seconds"],
-                     "%.2fs" % record["make_seconds"],
-                     "%.2fs" % record["rm_seconds"]])
-    print("kernel-tree ops (%d files)" % total_files)
-    _print_table(["stack", "tar", "ls -lR", "make", "rm -rf"], rows)
-
-
-def cells_tables910(transactions: int = 4000) -> List[Cell]:
-    cells = []
-    for kind in ("nfsv3", "iscsi"):
-        cells.append(_cell("postmark", kind=kind, files=500,
-                           transactions=transactions))
-        cells.append(_cell("tpcc", kind=kind,
-                           transactions=max(200, transactions // 8)))
-        cells.append(_cell("tpch", kind=kind, queries=3, mb=96))
-    return cells
-
-
-def render_tables910(results, transactions: int = 4000) -> None:
-    rows = []
-    for kind in ("nfsv3", "iscsi"):
-        pm = results[_cell("postmark", kind=kind, files=500,
-                           transactions=transactions).id]
-        cc = results[_cell("tpcc", kind=kind,
-                           transactions=max(200, transactions // 8)).id]
-        ch = results[_cell("tpch", kind=kind, queries=3, mb=96).id]
-        rows.append([kind,
-                     "%.0f%%/%.0f%%" % (pm["server_cpu"] * 100,
-                                        pm["client_cpu"] * 100),
-                     "%.0f%%/%.0f%%" % (cc["server_cpu"] * 100,
-                                        cc["client_cpu"] * 100),
-                     "%.0f%%/%.0f%%" % (ch["server_cpu"] * 100,
-                                        ch["client_cpu"] * 100)])
-    print("CPU utilization (server/client)")
-    _print_table(["stack", "PostMark", "TPC-C", "TPC-H"], rows)
-
-
-def cells_fig3(op: str = "mkdir") -> List[Cell]:
-    return [_cell("batching", op=op, batch=batch) for batch in FIG3_BATCHES]
-
-
-def render_fig3(results, op: str = "mkdir") -> None:
-    rows = [[cell.params["batch"], "%.2f" % results[cell.id]]
-            for cell in cells_fig3(op)]
-    _print_table(["batch", "msgs/op"], rows)
-
-
-def cells_fig4(op: str = "mkdir") -> List[Cell]:
-    cells = [_cell("depth_point", op=op, kind=kind, depth=depth, warm=False)
-             for kind in ("nfsv3", "nfsv4", "iscsi")
-             for depth in FIG4_DEPTHS]
-    cells.extend(_cell("depth_point", op=op, kind="iscsi", depth=depth,
-                       warm=True)
-                 for depth in FIG4_DEPTHS)
-    return cells
-
-
-def render_fig4(results, op: str = "mkdir") -> None:
-    rows = []
-    for kind in ("nfsv3", "nfsv4", "iscsi"):
-        rows.append([kind + " cold"] + [
-            results[_cell("depth_point", op=op, kind=kind, depth=depth,
-                          warm=False).id]
-            for depth in FIG4_DEPTHS])
-    rows.append(["iscsi warm"] + [
-        results[_cell("depth_point", op=op, kind="iscsi", depth=depth,
-                      warm=True).id]
-        for depth in FIG4_DEPTHS])
-    print("messages vs depth [%s]" % op)
-    _print_table(["series"] + ["d=%d" % d for d in FIG4_DEPTHS], rows)
-
-
-def cells_fig5() -> List[Cell]:
-    return [_cell("io_size_point", kind=kind, mode=mode, size=size)
-            for mode in ("cold-read", "warm-read", "cold-write")
-            for kind in SYSCALL_KINDS
-            for size in FIG5_SIZES]
-
-
-def render_fig5(results) -> None:
-    for mode in ("cold-read", "warm-read", "cold-write"):
-        print("\n%s" % mode)
-        rows = []
-        for kind in SYSCALL_KINDS:
-            rows.append([kind] + [
-                results[_cell("io_size_point", kind=kind, mode=mode,
-                              size=size).id]
-                for size in FIG5_SIZES])
-        _print_table(["stack"] + [str(s) for s in FIG5_SIZES], rows)
-
-
-def cells_fig6(mb: int = 4) -> List[Cell]:
-    return [_cell("seqrand", kind=kind, mode=mode, mb=mb, rtt=rtt)
-            for mode in ("seq-read", "seq-write")
-            for kind in ("nfsv3", "iscsi")
-            for rtt in FIG6_RTTS]
-
-
-def render_fig6(results, mb: int = 4) -> None:
-    for mode, label in (("seq-read", "read"), ("seq-write", "write")):
-        print("\nsequential %ss of a %d MB file" % (label, mb))
-        rows = []
-        for kind in ("nfsv3", "iscsi"):
-            row = [kind]
-            for rtt in FIG6_RTTS:
-                record = results[_cell("seqrand", kind=kind, mode=mode,
-                                       mb=mb, rtt=rtt).id]
-                row.append("%.1fs" % record["completion_time"])
-            rows.append(row)
-        _print_table(["stack"] + ["%dms" % int(r * 1000) for r in FIG6_RTTS],
-                     rows)
-
-
-def cells_fig7() -> List[Cell]:
-    return [_cell("sharing", profile=profile, limit=TRACE_LIMIT)
-            for profile in ("eecs", "campus")]
-
-
-def render_fig7(results) -> None:
-    from .traces import CAMPUS_PROFILE, EECS_PROFILE
-
-    names = {"eecs": EECS_PROFILE.name, "campus": CAMPUS_PROFILE.name}
-    for cell in cells_fig7():
-        print("\n%s trace" % names[cell.params["profile"]])
-        rows = []
-        for point in results[cell.id]:
-            rows.append(["%.0f" % point["interval"],
-                         "%.3f" % point["read_by_one"],
-                         "%.3f" % point["read_by_multiple"],
-                         "%.3f" % point["written_by_one"],
-                         "%.3f" % point["written_by_multiple"],
-                         "%.3f" % point["read_write_shared"]])
-        _print_table(["T", "r-by-1", "r-by-N", "w-by-1", "w-by-N", "rw"],
-                     rows)
-
-
-def cells_sec7() -> List[Cell]:
-    return [_cell("metadata_cache", limit=TRACE_LIMIT)]
-
-
-def render_sec7(results) -> None:
-    sweep = results[cells_sec7()[0].id]
-    rows = []
-    for size in sorted(sweep, key=int):
-        record = sweep[size]
-        rows.append([int(size), record["baseline_messages"],
-                     record["consistent_messages"],
-                     "%.1f%%" % (record["reduction"] * 100),
-                     "%.1e" % record["callback_ratio"]])
-    print("strongly-consistent meta-data cache (EECS-like trace)")
-    _print_table(["cache", "baseline", "consistent", "reduction", "cb ratio"],
-                 rows)
 
 
 # -- artifact commands ----------------------------------------------------------------
@@ -497,94 +164,19 @@ def _telemetry_summary(runner: ExperimentRunner) -> None:
               "utilization, progress stall)", file=sys.stderr)
 
 
-def cmd_quick(args) -> int:
-    san = getattr(args, "san", False)
-    telemetry = getattr(args, "telemetry", False)
-    shards = getattr(args, "shards", 0)
+def cmd_artifact(args) -> int:
+    """Run one artifact's cells at the flags given and render them."""
+    entry = args.artifact
+    options = {name: getattr(args, name) for name in entry.options}
     runner = _runner(args)
-    render_quick(runner.run(cells_quick(san, telemetry, shards)),
-                 san, telemetry, shards)
-    if san:
+    entry.render(runner.run(entry.cells(**options)), **options)
+    if options.get("san"):
         # stderr, so the table on stdout stays bit-identical to a
         # non-sanitized run (the sanitizer contract).
         print("sanitizers: clean (deadlock, leaks, event order, "
               "message/reply/task conservation)", file=sys.stderr)
-    if telemetry:
+    if options.get("telemetry"):
         _telemetry_summary(runner)
-    return 0
-
-
-def cmd_table2(args) -> int:
-    depths = tuple(args.depth)
-    shards = getattr(args, "shards", 0)
-    results = _runner(args).run(cells_syscalls(depths, args.warm, shards))
-    render_syscalls(results, depths, args.warm, shards)
-    return 0
-
-
-def cmd_table4(args) -> int:
-    shards = getattr(args, "shards", 0)
-    render_table4(_runner(args).run(cells_table4(args.mb, shards)),
-                  args.mb, shards)
-    return 0
-
-
-def cmd_table5(args) -> int:
-    results = _runner(args).run(cells_table5(args.transactions, args.files))
-    render_table5(results, args.transactions, args.files)
-    return 0
-
-
-def cmd_table6(args) -> int:
-    results = _runner(args).run(cells_table6(args.transactions))
-    render_table6(results, args.transactions)
-    return 0
-
-
-def cmd_table7(args) -> int:
-    results = _runner(args).run(cells_table7(args.queries, args.mb))
-    render_table7(results, args.queries, args.mb)
-    return 0
-
-
-def cmd_table8(args) -> int:
-    render_table8(_runner(args).run(cells_table8(args.dirs)), args.dirs)
-    return 0
-
-
-def cmd_tables910(args) -> int:
-    results = _runner(args).run(cells_tables910(args.transactions))
-    render_tables910(results, args.transactions)
-    return 0
-
-
-def cmd_fig3(args) -> int:
-    render_fig3(_runner(args).run(cells_fig3(args.op)), args.op)
-    return 0
-
-
-def cmd_fig4(args) -> int:
-    render_fig4(_runner(args).run(cells_fig4(args.op)), args.op)
-    return 0
-
-
-def cmd_fig5(args) -> int:
-    render_fig5(_runner(args).run(cells_fig5()))
-    return 0
-
-
-def cmd_fig6(args) -> int:
-    render_fig6(_runner(args).run(cells_fig6(args.mb)), args.mb)
-    return 0
-
-
-def cmd_fig7(args) -> int:
-    render_fig7(_runner(args).run(cells_fig7()))
-    return 0
-
-
-def cmd_sec7(args) -> int:
-    render_sec7(_runner(args).run(cells_sec7()))
     return 0
 
 
@@ -647,7 +239,7 @@ def cmd_scale(args) -> int:
     # The certified point: a pure runner cell (always sequential — its
     # metrics are the reference every timed run must reproduce exactly).
     nshards = 0 if args.reference else shard_counts[0]
-    cell = _cell("scale_point", groups=args.groups,
+    cell = make_cell("scale_point", groups=args.groups,
                  clients_per_group=clients_per_group,
                  requests=args.requests, nshards=nshards)
     record = ExperimentRunner(jobs=None, use_cache=False).run([cell])[cell.id]
@@ -767,7 +359,7 @@ def _cmd_scale_farm(args) -> int:
                     # Sharing is an NFS-only axis: iSCSI volumes are
                     # single-client by design (Section 2.3).
                     sharing = args.sharing if protocol == "nfs" else 0.0
-                    cells.append(_cell(
+                    cells.append(make_cell(
                         "farm_point", protocol=protocol, nclients=nclients,
                         nservers=nservers, connections=connections,
                         sharing=sharing, requests=args.requests,
@@ -865,40 +457,7 @@ def _farm_series(points) -> dict:
     return series
 
 
-# -- all: the whole paper in one run -------------------------------------------------
-
-# Section order mirrors the paper; table9/table10 share one cell set.
-ALL_SECTIONS: Tuple[Tuple[str, Any, Any], ...] = (
-    ("quick", cells_quick, render_quick),
-    ("table2", lambda: cells_syscalls((0, 3), False),
-     lambda results: render_syscalls(results, (0, 3), False)),
-    ("table3", lambda: cells_syscalls((0,), True),
-     lambda results: render_syscalls(results, (0,), True)),
-    ("table4", cells_table4, render_table4),
-    ("table5", cells_table5, render_table5),
-    ("table6", cells_table6, render_table6),
-    ("table7", cells_table7, render_table7),
-    ("table8", cells_table8, render_table8),
-    ("table9/table10", cells_tables910, render_tables910),
-    ("fig3", cells_fig3, render_fig3),
-    ("fig4", cells_fig4, render_fig4),
-    ("fig5", cells_fig5, render_fig5),
-    ("fig6", cells_fig6, render_fig6),
-    ("fig7", cells_fig7, render_fig7),
-    ("sec7", cells_sec7, render_sec7),
-)
-
-
-def all_cells() -> List[Cell]:
-    """Every cell of every section, deduplicated, in section order."""
-    cells: List[Cell] = []
-    seen = set()
-    for _name, cells_fn, _render in ALL_SECTIONS:
-        for cell in cells_fn():
-            if cell.id not in seen:
-                seen.add(cell.id)
-                cells.append(cell)
-    return cells
+# -- all / verify: the whole paper in one run ----------------------------------------
 
 
 def cmd_all(args) -> int:
@@ -906,14 +465,29 @@ def cmd_all(args) -> int:
     # stderr, so the artifact output on stdout is unchanged.
     runner = ExperimentRunner(jobs=args.jobs, use_cache=not args.no_cache,
                               heartbeat=True)
-    results = runner.run(all_cells())
-    for name, _cells_fn, render in ALL_SECTIONS:
-        print("\n== %s ==" % name)
-        render(results)
+    sections = [entry for entry in paper.ARTIFACTS if entry.render]
+    results = runner.run(paper.unique_cells(
+        cell for entry in sections for cell in entry.default_cells()))
+    for entry in sections:
+        print("\n== %s ==" % entry.section)
+        entry.render(results, **entry.options)
+    _cells_summary(runner, args.jobs)
+    return 0
+
+
+def cmd_verify(args) -> int:
+    """Check every claim of the registry on the cached runner; exit 1 when
+    a claim that is not a listed deviation fails."""
+    runner = ExperimentRunner(jobs=args.jobs, heartbeat=True)
+    failed = paper.print_scoreboard(runner.run(paper.verify_cells()))
+    _cells_summary(runner, args.jobs)
+    return 1 if failed else 0
+
+
+def _cells_summary(runner: ExperimentRunner, jobs: Optional[int]) -> None:
     print("\n%d cells (%d cached, %d computed), jobs=%s"
           % (runner.cache_hits + runner.cache_misses, runner.cache_hits,
-             runner.cache_misses, args.jobs or 1))
-    return 0
+             runner.cache_misses, jobs or 1))
 
 
 # -- trace: the simulated-Ethereal front end ------------------------------------------
@@ -1011,7 +585,7 @@ def cmd_faults(args) -> int:
             params["san"] = True
         if args.telemetry:
             params["telemetry"] = True
-        return _cell("faults_scenario", **params)
+        return make_cell("faults_scenario", **params)
 
     labeled = [
         (kind, plan, scenario_cell(kind, plan))
@@ -1037,7 +611,7 @@ def cmd_faults(args) -> int:
             _fault_digest(record), _recovery_digest(record),
         ])
     print("%s under fault plans (seed %d)" % (args.workload, args.seed))
-    _print_table(
+    print_table(
         ["stack", "plan", "time", "vs none", "messages", "retrans",
          "faults", "recovery"],
         rows)
@@ -1084,7 +658,7 @@ def cmd_bench(args) -> int:
                      record["messages"],
                      "%.1fMB" % (record["bytes"] / 1e6)])
     print("suite %r (schema %d)" % (args.suite, result["schema"]))
-    _print_table(["case", "time", "messages", "bytes"], rows)
+    print_table(["case", "time", "messages", "bytes"], rows)
     out = args.out or ("BENCH_%s.json" % args.suite)
     bench.write_bench(result, out)
     print("\nwrote %s" % out)
@@ -1151,7 +725,7 @@ def cmd_explain(args) -> int:
         report = ex.explain_runs(sides[0], sides[1], top=args.top)
     else:
         # Live mode: one runner cell runs both sides and diffs them.
-        cell = _cell("explain_pair", workload=args.workload,
+        cell = make_cell("explain_pair", workload=args.workload,
                      stack_a=args.stack_a, stack_b=args.stack_b,
                      telemetry=bool(args.telemetry), top=args.top)
         report = _runner(args).run([cell])[cell.id]
@@ -1176,7 +750,7 @@ def cmd_explain(args) -> int:
 def cmd_dash(args) -> int:
     from .obs.dashboard import render_dashboard, write_html
 
-    cells = [_cell("telemetry_run", kind=kind, workload=args.workload,
+    cells = [make_cell("telemetry_run", kind=kind, workload=args.workload,
                    heartbeat=bool(args.heartbeat))
              for kind in args.stack]
     runner = _runner(args)
@@ -1270,10 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'repro scale'; default: flat)")
 
     sub.add_parser("list").set_defaults(func=cmd_list)
-    sub.add_parser(
-        "quick", parents=[jobs_parent, san_parent, telem_parent,
-                          shards_parent],
-    ).set_defaults(func=cmd_quick)
 
     al = sub.add_parser(
         "all", parents=[jobs_parent],
@@ -1282,59 +852,30 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--no-cache", action="store_true",
                     help="recompute every cell, ignoring the result cache")
     al.set_defaults(func=cmd_all)
+    sub.add_parser(
+        "verify", parents=[jobs_parent],
+        help="check every paper claim on the cached cells, print the "
+             "scoreboard; exits 1 if a claim that is not a listed "
+             "deviation fails",
+    ).set_defaults(func=cmd_verify)
 
-    t2 = sub.add_parser("table2", parents=[jobs_parent, shards_parent])
-    t2.add_argument("--depth", type=int, nargs="+", default=[0, 3])
-    t2.set_defaults(func=cmd_table2, warm=False)
-    t3 = sub.add_parser("table3", parents=[jobs_parent, shards_parent])
-    t3.add_argument("--depth", type=int, nargs="+", default=[0])
-    t3.set_defaults(func=cmd_table2, warm=True)
-
-    t4 = sub.add_parser("table4", parents=[jobs_parent, shards_parent])
-    t4.add_argument("--mb", type=int, default=16)
-    t4.set_defaults(func=cmd_table4)
-
-    t5 = sub.add_parser("table5", parents=[jobs_parent])
-    t5.add_argument("--transactions", type=int, default=5000)
-    t5.add_argument("--files", type=int, default=1000)
-    t5.set_defaults(func=cmd_table5)
-
-    t6 = sub.add_parser("table6", parents=[jobs_parent])
-    t6.add_argument("--transactions", type=int, default=1000)
-    t6.set_defaults(func=cmd_table6)
-
-    t7 = sub.add_parser("table7", parents=[jobs_parent])
-    t7.add_argument("--queries", type=int, default=4)
-    t7.add_argument("--mb", type=int, default=128)
-    t7.set_defaults(func=cmd_table7)
-
-    t8 = sub.add_parser("table8", parents=[jobs_parent])
-    t8.add_argument("--dirs", type=int, default=12)
-    t8.set_defaults(func=cmd_table8)
-
-    t9 = sub.add_parser("table9", parents=[jobs_parent])
-    t9.add_argument("--transactions", type=int, default=4000)
-    t9.set_defaults(func=cmd_tables910)
-    t10 = sub.add_parser("table10", parents=[jobs_parent])
-    t10.add_argument("--transactions", type=int, default=4000)
-    t10.set_defaults(func=cmd_tables910)
-
-    f3 = sub.add_parser("fig3", parents=[jobs_parent])
-    f3.add_argument("--op", default="mkdir")
-    f3.set_defaults(func=cmd_fig3)
-
-    f4 = sub.add_parser("fig4", parents=[jobs_parent])
-    f4.add_argument("--op", default="mkdir")
-    f4.set_defaults(func=cmd_fig4)
-
-    sub.add_parser("fig5", parents=[jobs_parent]).set_defaults(func=cmd_fig5)
-
-    f6 = sub.add_parser("fig6", parents=[jobs_parent])
-    f6.add_argument("--mb", type=int, default=4)
-    f6.set_defaults(func=cmd_fig6)
-
-    sub.add_parser("fig7", parents=[jobs_parent]).set_defaults(func=cmd_fig7)
-    sub.add_parser("sec7", parents=[jobs_parent]).set_defaults(func=cmd_sec7)
+    # One subcommand per artifact command, one flag per registry option.
+    shared = {"san": san_parent, "telemetry": telem_parent,
+              "shards": shards_parent}
+    for entry in paper.ARTIFACTS:
+        for command in entry.commands:
+            ap = sub.add_parser(command, parents=[jobs_parent] + [
+                shared[name] for name in entry.options if name in shared])
+            for name, default in entry.options.items():
+                if name in shared:
+                    continue
+                if isinstance(default, tuple):
+                    ap.add_argument("--" + name, type=int, nargs="+",
+                                    default=default)
+                else:
+                    ap.add_argument("--" + name, type=type(default),
+                                    default=default)
+            ap.set_defaults(func=cmd_artifact, artifact=entry)
 
     from .sim.shard import EXECUTORS
 

@@ -17,9 +17,10 @@ throughput wins.
   never by completion order, so ``--jobs 1`` and ``--jobs 8`` produce
   byte-identical merged output;
 * **content-addressed cache** — each result is stored on disk under
-  ``sha256(repro version + cell kind + params)``; re-running an unchanged
-  cell is a file read.  Any change to the package version or to a cell's
-  parameters changes the key and forces a recompute.
+  ``sha256(repro version + source digest + cell kind + params)``;
+  re-running an unchanged cell is a file read.  Any change to the
+  package's ``.py`` sources, its version or a cell's parameters changes
+  the key and forces a recompute.
 
 Every cell result is canonicalized through a JSON round-trip before it is
 merged, so fresh, pooled, and cached results are structurally identical
@@ -32,6 +33,7 @@ from a module top level so pool workers can find it).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -46,6 +48,8 @@ __all__ = [
     "cell_kind",
     "cell_key",
     "default_cache_dir",
+    "make_cell",
+    "source_digest",
 ]
 
 
@@ -66,6 +70,12 @@ class Cell:
     params: Dict[str, Any] = field(default_factory=dict)
 
 
+def make_cell(kind: str, /, **params: Any) -> Cell:
+    """A cell with a canonical id derived from its kind and params."""
+    spec = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return Cell("%s?%s" % (kind, spec), kind, params)
+
+
 CELL_KINDS: Dict[str, Callable[..., Any]] = {}
 
 
@@ -81,12 +91,34 @@ def cell_kind(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     return register
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over the path and bytes of every ``.py`` file in the package.
+
+    Computed once per process, on first use.  :func:`cell_key` folds it
+    in, so an edit anywhere in the simulator retires every cached result
+    computed by the old code.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def cell_key(cell: Cell) -> str:
-    """Content-addressed cache key: repro version + kind + params."""
+    """Content-addressed cache key: version + source digest + kind + params."""
     from .. import __version__
 
     spec = json.dumps(
-        {"version": __version__, "kind": cell.kind, "params": cell.params},
+        {"version": __version__, "source": source_digest(),
+         "kind": cell.kind, "params": cell.params},
         sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(spec.encode()).hexdigest()
@@ -284,6 +316,29 @@ class ExperimentRunner:
 # and every function returns plain JSON-able data.
 
 
+def _testbed(kind: str, overrides: Optional[Dict[str, Dict[str, Any]]]):
+    """The ``TestbedParams`` a cell's ``overrides`` describe (None if none).
+
+    ``overrides`` maps a ``TestbedParams`` group ("nfs", "ext3", ...) to
+    the fields to change.  An NFS kind starts from its version's
+    ``NfsParams``: the stack keeps only the NFS fields that differ from
+    ``NfsParams()``, so an override back to that default (v4 with
+    ``access_check_per_component=False``) would otherwise be dropped.
+    """
+    if not overrides:
+        return None
+    from dataclasses import replace
+
+    from .params import TestbedParams
+
+    params = TestbedParams()
+    version = {"nfsv2": 2, "nfsv3": 3, "nfsv4": 4}.get(kind)
+    if version is not None:
+        params = params.with_nfs_version(version)
+    return replace(params, **{group: replace(getattr(params, group), **fields)
+                              for group, fields in overrides.items()})
+
+
 @cell_kind("quick")
 def _cell_quick(kind: str, san: bool = False,
                 telemetry: bool = False, shards: int = 0) -> Dict[str, Any]:
@@ -337,11 +392,16 @@ def _cell_syscall_table(kind: str, depth: int, warm: bool,
 
 @cell_kind("seqrand")
 def _cell_seqrand(kind: str, mode: str, mb: int,
-                  rtt: Optional[float] = None) -> Dict[str, Any]:
-    """One streaming-I/O cell of Table 4 / Figure 6."""
+                  rtt: Optional[float] = None, chunk: Optional[int] = None,
+                  overrides: Optional[Dict[str, Any]] = None
+                  ) -> Dict[str, Any]:
+    """One streaming-I/O cell of Figure 6, the Section 6.1 what-if and
+    the write-limit and rsize ablations (``chunk`` bytes per call)."""
     from ..workloads import SeqRandWorkload
+    from ..workloads.seqrand import CHUNK
 
-    workload = SeqRandWorkload(kind, file_mb=mb, rtt=rtt)
+    workload = SeqRandWorkload(kind, file_mb=mb, chunk=chunk or CHUNK,
+                               params=_testbed(kind, overrides), rtt=rtt)
     if mode == "seq-read":
         result = workload.run_read(True)
     elif mode == "rand-read":
@@ -428,11 +488,14 @@ def _cell_farm_point(protocol: str, nclients: int, nservers: int,
 
 
 @cell_kind("postmark")
-def _cell_postmark(kind: str, files: int, transactions: int) -> Dict[str, Any]:
+def _cell_postmark(kind: str, files: int, transactions: int,
+                   overrides: Optional[Dict[str, Any]] = None
+                   ) -> Dict[str, Any]:
     """One PostMark row (Tables 5 and 9/10 share this kind)."""
     from ..workloads import PostMark
 
-    result = PostMark(kind, file_count=files, transactions=transactions).run()
+    result = PostMark(kind, file_count=files, transactions=transactions,
+                      params=_testbed(kind, overrides)).run()
     return {"completion_time": result.completion_time,
             "messages": result.messages,
             "server_cpu": result.server_cpu, "client_cpu": result.client_cpu}
@@ -473,19 +536,51 @@ def _cell_kernel_tree(kind: str, dirs: int) -> Dict[str, Any]:
 
 
 @cell_kind("batching")
-def _cell_batching(op: str, batch: int) -> float:
+def _cell_batching(op: str, batch: int,
+                   overrides: Optional[Dict[str, Any]] = None) -> float:
     """One batch-size point of Figure 3 (amortized messages/op)."""
     from ..workloads import run_batching_sweep
 
-    return run_batching_sweep(op, batch_sizes=(batch,))[batch]
+    return run_batching_sweep(op, batch_sizes=(batch,),
+                              params=_testbed("iscsi", overrides))[batch]
 
 
 @cell_kind("depth_point")
-def _cell_depth_point(op: str, kind: str, depth: int, warm: bool) -> int:
+def _cell_depth_point(op: str, kind: str, depth: int, warm: bool,
+                      overrides: Optional[Dict[str, Any]] = None) -> int:
     """One (stack, depth) point of Figure 4."""
     from ..workloads import run_depth_sweep
 
-    return run_depth_sweep(op, kind, depths=(depth,), warm=warm)[depth]
+    return run_depth_sweep(op, kind, depths=(depth,), warm=warm,
+                           params=_testbed(kind, overrides))[depth]
+
+
+@cell_kind("attr_cache")
+def _cell_attr_cache(validity: float) -> int:
+    """The attribute-cache ablation: NFS v3 messages for 30 re-reads of
+    one file at alternating 10 s / 1 s gaps, with attributes valid for
+    ``validity`` seconds."""
+    from .comparison import make_stack
+
+    stack = make_stack("nfsv3", _testbed(
+        "nfsv3", {"nfs": {"attr_cache_validity": validity}}))
+    client = stack.client
+
+    def work():
+        fd = yield from client.creat("/f")
+        yield from client.write(fd, 4096)
+        yield from client.close(fd)
+        fd = yield from client.open("/f")
+        yield from client.read(fd, 4096)
+        for i in range(30):
+            # alternate short and long idle gaps
+            yield stack.sim.timeout(1.0 if i % 2 else 10.0)
+            yield from client.pread(fd, 4096, 0)
+
+    snap = stack.snapshot()
+    stack.run(work())
+    stack.quiesce()
+    return stack.delta(snap).messages
 
 
 @cell_kind("io_size_point")
@@ -517,11 +612,14 @@ def _cell_sharing(profile: str, limit: int) -> List[Dict[str, float]]:
 
 
 @cell_kind("metadata_cache")
-def _cell_metadata_cache(limit: int) -> Dict[str, Dict[str, Any]]:
-    """The Section-7 consistent-meta-data-cache sweep (EECS-like trace)."""
-    from ..traces import EECS_PROFILE, TraceGenerator, sweep_cache_sizes
+def _cell_metadata_cache(limit: int,
+                         profile: str = "eecs") -> Dict[str, Dict[str, Any]]:
+    """The Section-7 consistent-meta-data-cache sweep over one trace."""
+    from ..traces import (CAMPUS_PROFILE, EECS_PROFILE, TraceGenerator,
+                          sweep_cache_sizes)
 
-    events = list(TraceGenerator(EECS_PROFILE).events(limit=limit))
+    chosen = {"eecs": EECS_PROFILE, "campus": CAMPUS_PROFILE}[profile]
+    events = list(TraceGenerator(chosen).events(limit=limit))
     out = {}
     for size, result in sweep_cache_sizes(events).items():
         out[str(size)] = {

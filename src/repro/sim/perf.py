@@ -19,12 +19,10 @@ sharded run's output against the sequential kernel's byte for byte.
 They are deliberately *simulated-time* workloads measured in *wall-clock*
 time: the simulation outcome is deterministic (same final ``sim.now``,
 same event count, forever), so any wall-clock movement is pure
-interpreter/kernel overhead.  Two consumers share them:
-
-* ``benchmarks/perf_kernel.py`` — pytest-benchmark timings for humans;
-* ``benchmarks/perf_smoke.py`` — the CI wall-clock gate, which times the
-  storms plus the traced quick suite and fails on a big regression
-  against the committed ``BENCH_perf.json``.
+interpreter/kernel overhead.  ``benchmarks/perf_smoke.py`` times them:
+it is the CI wall-clock gate, which times the storms plus the traced
+quick suite and fails on a big regression against the committed
+``BENCH_perf.json``.
 """
 
 from __future__ import annotations
@@ -286,7 +284,7 @@ def shard_storm(groups: int = 4, clients_per_group: int = 16,
                            executor=executor, jobs=jobs)["records"]
 
 
-# name -> (callable, kwargs): the suite perf_smoke and perf_kernel share.
+# name -> (callable, kwargs): the suite perf_smoke times.
 MICROBENCHES: Dict[str, Tuple[Callable[..., int], Dict[str, Any]]] = {
     "event_storm": (event_storm, {"events": 50_000}),
     "spawn_storm": (spawn_storm, {"processes": 5_000}),

@@ -150,9 +150,12 @@ def test_params_with_nfs_version():
 # ---------------------------------------------------------------- cli
 
 def test_cli_parser_knows_all_artifacts():
+    from repro.paper import ARTIFACTS
+
     parser = build_parser()
-    for command in ("list", "quick", "table2", "table4", "table5",
-                    "fig3", "fig4", "fig6", "fig7", "sec7"):
+    commands = [command for entry in ARTIFACTS for command in entry.commands]
+    assert len(commands) == 16
+    for command in ["list", "all", "verify"] + commands:
         args = parser.parse_args([command])
         assert callable(args.func)
 

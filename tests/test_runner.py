@@ -59,6 +59,25 @@ def test_cache_invalidated_by_param_change(tmp_path):
     assert results["b16"] != runner.run([cell])["b16"]
 
 
+def test_cache_invalidated_by_source_change(tmp_path, monkeypatch):
+    """A result cached by older code is never served to newer code: the
+    key folds in a digest of the package's sources."""
+    from repro.core import runner as runner_module
+
+    cell = CELLS[0]
+    digest = runner_module.source_digest()
+    assert len(digest) == 64 and digest == runner_module.source_digest()
+    ExperimentRunner(jobs=None, cache_dir=str(tmp_path)).run([cell])
+    key = cell_key(cell)
+
+    monkeypatch.setattr(runner_module, "source_digest", lambda: "edited")
+    assert cell_key(cell) != key
+    rerun = ExperimentRunner(jobs=None, cache_dir=str(tmp_path))
+    rerun.run([cell])
+    assert rerun.cache_hits == 0
+    assert rerun.cache_misses == 1
+
+
 def test_no_cache_flag_recomputes(tmp_path):
     seed = ExperimentRunner(jobs=None, cache_dir=str(tmp_path))
     seed.run(CELLS[:1])
