@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from ..core.params import CacheParams
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Event, Simulator
 from ..storage.blockdev import BlockDevice
 from .policies import CacheStats, LruDict
@@ -51,12 +50,10 @@ class BlockCache:
         max_coalesced_bytes: int = 128 * 1024,
         start_flusher: bool = True,
         name: str = "bcache",
-        tracer: Optional[NullTracer] = None,
         track: str = "server",
     ):
         self.sim = sim
         self.device = device
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
         self.params = params if params is not None else CacheParams()
         self.block_size = device.block_size
@@ -126,8 +123,9 @@ class BlockCache:
                 self.stats.misses += 1
                 missing.append(block)
                 self._inflight[block] = self.sim.event()
-        if self.tracer.enabled:
-            self.tracer.instant(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
                 "bcache." + ("hit" if not missing else "miss"),
                 cat="cache", track=self.track, start=start,
                 hits=count - len(missing), misses=len(missing),
@@ -224,8 +222,9 @@ class BlockCache:
         # All write-back requests enter the device queue at once — the
         # block layer keeps the queue deep; the device serializes.
         span = None
-        if self.tracer.enabled and todo:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None and todo:
+            span = tracer.begin_span(
                 "cache.flush", cat="cache", track=self.track,
                 blocks=len(todo),
             )
@@ -243,7 +242,7 @@ class BlockCache:
                 yield self.sim.all_of(jobs)
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
         self._wake_throttled()
         return None
 

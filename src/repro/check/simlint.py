@@ -14,9 +14,9 @@ Rule families
   the same seed diverge.
 * **P-rules** — simulator process discipline: misuse of the
   generator-coroutine protocol of :mod:`repro.sim`.
-* **O-rules** — observability discipline: tracer, telemetry and
-  flight-recorder hooks that bypass their zero-cost guard and would
-  perturb an uninstrumented run.
+* **O-rules** — observability discipline: instrument hooks (tracer,
+  telemetry, flight recorder, sanitizer, fault injector) that bypass
+  their ``is not None`` guard and would fail on an uninstrumented run.
 
 Every rule is a per-file check: :func:`lint_paths` lints each file on
 its own, and the whole-repo result is the sorted union.
@@ -81,13 +81,9 @@ _RULE_LIST = (
          "follow acquire() with try/finally release(), or call use()"),
     Rule("P203", "dropped-sim-result",
          "the result must be yielded from (or yielded, or assigned)"),
-    Rule("O301", "unguarded-tracer-hook",
-         "guard tracer calls with `if tracer.enabled:` (NULL_TRACER pattern)"),
-    Rule("O302", "unguarded-telemetry-hook",
-         "guard telemetry pushes with `if telem is not None:` (opt-in layer)"),
-    Rule("O303", "unguarded-recorder-hook",
-         "guard flight-recorder hooks with `if recorder is not None:` "
-         "(opt-in layer)"),
+    Rule("O301", "unguarded-instrument-hook",
+         "read the instrument (`x = self.sim.<slot>`) and guard its hooks "
+         "with `if x is not None:`"),
 )
 
 RULES: Dict[str, Rule] = {rule.code: rule for rule in _RULE_LIST}
@@ -145,19 +141,25 @@ _SIM_RESULT_CALLS = frozenset({
 # P201: the entry points that turn a generator into a process.
 _PROCESS_ENTRY_POINTS = frozenset({"spawn", "run_process", "run"})
 
-# O301: tracer methods that must stay behind the `.enabled` guard.
-# end_span is excluded: `end_span(None)` is the documented safe no-op.
-_TRACER_HOOKS = frozenset({"begin_span", "instant", "message", "sample"})
-
-# O302: telemetry push hooks.  Unlike the tracer there is no null object:
-# the disabled layer is the attribute being None, so every push must sit
-# under an `if telem is not None:` (or truthiness) check.
-_TELEM_HOOKS = frozenset({"count", "observe"})
-
-# O303: flight-recorder hooks (repro.obs.explain.FlightRecorder).  Same
-# opt-in contract as telemetry: the disabled layer is the attribute being
-# None, so every hook must sit under an `if recorder is not None:` check.
-_RECORDER_HOOKS = frozenset({"note_event", "note_message", "dump"})
+# O301: each instrument's hook methods, keyed by the name its receiver
+# goes by (``tracer``, ``self.sim.telemetry``, ``san``, ...).  Every
+# instrument is a simulator slot that is None when off, so a hook call
+# must sit under an ``if`` whose test names the same instrument (``if x
+# is not None:`` or plain truthiness).  end_span is exempt: it runs under
+# ``if span is not None:``, and a span exists only when a tracer does.
+_INSTRUMENT_HOOKS = {
+    "tracer": frozenset({"begin_span", "instant", "message", "wrap",
+                         "current_span_id"}),
+    "telem": frozenset({"count", "observe"}),
+    "recorder": frozenset({"note_event", "note_message", "dump"}),
+    "san": frozenset({
+        "note_send", "note_loss", "note_fault_drop",
+        "note_fault_duplicate", "note_scheduled", "note_issued",
+        "note_orphan_reply", "note_request", "note_request_cancelled",
+        "note_request_replayed", "note_request_dropped_in_progress",
+        "note_request_served"}),
+    "fault": frozenset({"filter_message"}),
+}
 
 _DISABLE_LINE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9,\s]+)")
 _DISABLE_FILE = re.compile(r"#\s*simlint:\s*disable-file=([A-Za-z0-9,\s]+)")
@@ -389,59 +391,32 @@ def _mentions_now(expr: ast.AST) -> bool:
     return False
 
 
-def _receiver_is_tracer(func: ast.Attribute) -> bool:
-    """True for ``<...>tracer.<hook>()`` shaped receivers."""
+def _hooked_instrument(func: ast.Attribute) -> Optional[str]:
+    """The instrument a ``<receiver>.<hook>()`` call reaches, or ``None``.
+
+    The receiver is matched by name: ``tracer.instant`` and
+    ``self.sim.tracer.instant`` both reach the tracer.
+    """
     value = func.value
     if isinstance(value, ast.Attribute):
-        name = value.attr
+        name = value.attr.lower()
     elif isinstance(value, ast.Name):
-        name = value.id
+        name = value.id.lower()
     else:
-        return False
-    return "tracer" in name.lower()
+        return None
+    for instrument, hooks in _INSTRUMENT_HOOKS.items():
+        if instrument in name and func.attr in hooks:
+            return instrument
+    return None
 
 
-def _receiver_is_telem(func: ast.Attribute) -> bool:
-    """True for ``<...>telem*.<hook>()`` shaped receivers."""
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        name = value.attr
-    elif isinstance(value, ast.Name):
-        name = value.id
-    else:
-        return False
-    return "telem" in name.lower()
-
-
-def _mentions_telem(test: ast.expr) -> bool:
-    """True when an ``if`` test inspects a telem-ish name — either a
-    ``x is not None`` comparison or a plain truthiness check."""
+def _mentions(test: ast.expr, instrument: str) -> bool:
+    """True when an ``if`` test inspects a name containing ``instrument``
+    — an ``x is not None`` comparison or a plain truthiness check."""
     for sub in ast.walk(test):
-        if isinstance(sub, ast.Attribute) and "telem" in sub.attr.lower():
+        if isinstance(sub, ast.Attribute) and instrument in sub.attr.lower():
             return True
-        if isinstance(sub, ast.Name) and "telem" in sub.id.lower():
-            return True
-    return False
-
-
-def _receiver_is_recorder(func: ast.Attribute) -> bool:
-    """True for ``<...>recorder.<hook>()`` shaped receivers."""
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        name = value.attr
-    elif isinstance(value, ast.Name):
-        name = value.id
-    else:
-        return False
-    return "recorder" in name.lower()
-
-
-def _mentions_recorder(test: ast.expr) -> bool:
-    """True when an ``if`` test inspects a recorder-ish name."""
-    for sub in ast.walk(test):
-        if isinstance(sub, ast.Attribute) and "recorder" in sub.attr.lower():
-            return True
-        if isinstance(sub, ast.Name) and "recorder" in sub.id.lower():
+        if isinstance(sub, ast.Name) and instrument in sub.id.lower():
             return True
     return False
 
@@ -565,57 +540,17 @@ class _Linter(ast.NodeVisitor):
                     "%s() given %s(), which never yields and so is "
                     "not a process" % (node.func.attr, first.func.id))
 
-        # O301: tracer hooks outside the `.enabled` guard.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TRACER_HOOKS
-                and _receiver_is_tracer(node.func)):
-            guarded = False
-            for ancestor in self._ancestors(node):
-                if isinstance(ancestor, ast.If):
-                    for sub in ast.walk(ancestor.test):
-                        if (isinstance(sub, ast.Attribute)
-                                and sub.attr == "enabled"):
-                            guarded = True
-                            break
-                if guarded:
-                    break
-            if not guarded:
-                self._report(
-                    node, "O301",
-                    "tracer.%s() outside an `if tracer.enabled:` guard"
-                    % node.func.attr)
-
-        # O302: telemetry pushes outside the `is not None` guard.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TELEM_HOOKS
-                and _receiver_is_telem(node.func)):
-            guarded = False
-            for ancestor in self._ancestors(node):
-                if (isinstance(ancestor, ast.If)
-                        and _mentions_telem(ancestor.test)):
-                    guarded = True
-                    break
-            if not guarded:
-                self._report(
-                    node, "O302",
-                    "telemetry %s() outside an `if telem is not None:` "
-                    "guard" % node.func.attr)
-
-        # O303: flight-recorder hooks outside the `is not None` guard.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RECORDER_HOOKS
-                and _receiver_is_recorder(node.func)):
-            guarded = False
-            for ancestor in self._ancestors(node):
-                if (isinstance(ancestor, ast.If)
-                        and _mentions_recorder(ancestor.test)):
-                    guarded = True
-                    break
-            if not guarded:
-                self._report(
-                    node, "O303",
-                    "flight-recorder %s() outside an `if recorder is "
-                    "not None:` guard" % node.func.attr)
+        # O301: instrument hooks outside their `is not None` guard.
+        instrument = (_hooked_instrument(node.func)
+                      if isinstance(node.func, ast.Attribute) else None)
+        if instrument is not None and not any(
+                isinstance(ancestor, ast.If)
+                and _mentions(ancestor.test, instrument)
+                for ancestor in self._ancestors(node)):
+            self._report(
+                node, "O301",
+                "%s hook %s() outside an `if %s is not None:` guard"
+                % (instrument, node.func.attr, instrument))
 
         self.generic_visit(node)
 

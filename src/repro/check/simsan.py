@@ -1,12 +1,13 @@
 """simsan: opt-in runtime sanitizers for the simulation kernel and stacks.
 
 Where :mod:`repro.check.simlint` looks at code shapes, the sanitizers
-watch a *run*: they hang pure-arithmetic observation hooks off the kernel
-and the protocol layers (the same ``x = self.san; if x is not None:``
-pattern the fault injector uses), accumulate counters, and verify
-conservation identities when the run ends.  The checks observe — they
-never schedule, delay, or reorder anything — so a sanitized run's
-outputs are bit-identical to an unsanitized run unless a check fires.
+watch a *run*: a :class:`SimSan` is attached as the simulator's ``san``
+slot, the transports and RPC peers report to it through pure-arithmetic
+hooks (the ``san = self.sim.san; if san is not None:`` guard every
+instrument uses), and it verifies conservation identities when the run
+ends.  The checks observe — they never schedule, delay, or reorder
+anything — so a sanitized run's outputs are bit-identical to an
+unsanitized run unless a check fires.
 
 Checks and finding codes
 ------------------------
@@ -40,7 +41,7 @@ san=True)`` or ``--san`` on the workload-running CLI subcommands; then
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
 
 from ..sim.kernel import Process, Simulator
 
@@ -150,12 +151,7 @@ class CheckedSimulator(Simulator):
 
 
 class TransportSan:
-    """Message-conservation counters for one :class:`DuplexTransport`.
-
-    ``DuplexTransport._deliver`` calls the ``note_*`` hooks (guarded by
-    ``san is not None``, mirroring the fault hook); every hook is a bare
-    counter increment.
-    """
+    """Message-conservation counters for one :class:`DuplexTransport`."""
 
     __slots__ = ("sent", "lost", "fault_dropped", "fault_duplicated",
                  "scheduled")
@@ -166,21 +162,6 @@ class TransportSan:
         self.fault_dropped = 0
         self.fault_duplicated = 0
         self.scheduled = 0
-
-    def note_send(self, _message) -> None:
-        self.sent += 1
-
-    def note_loss(self, _message) -> None:
-        self.lost += 1
-
-    def note_fault_drop(self, _message) -> None:
-        self.fault_dropped += 1
-
-    def note_fault_duplicate(self, _message) -> None:
-        self.fault_duplicated += 1
-
-    def note_scheduled(self, _message) -> None:
-        self.scheduled += 1
 
 
 class RpcSan:
@@ -200,51 +181,82 @@ class RpcSan:
         self.served = 0
         self.orphan_replies: List[int] = []
 
-    # calling side
-    def note_issued(self, xid: int) -> None:
-        self.xids_issued.add(xid)
-
-    def note_orphan_reply(self, xid: int) -> None:
-        # A reply with no pending call: legitimate when the call was
-        # retransmitted/cancelled (its xid was issued), a protocol bug
-        # otherwise.  Classified in verify().
-        self.orphan_replies.append(xid)
-
-    # serving side
-    def note_request(self, _message) -> None:
-        self.requests += 1
-
-    def note_request_cancelled(self, _message) -> None:
-        self.cancelled += 1
-
-    def note_request_replayed(self, _message) -> None:
-        self.replayed += 1
-
-    def note_request_dropped_in_progress(self, _message) -> None:
-        self.dropped_in_progress += 1
-
-    def note_request_served(self, _message) -> None:
-        self.served += 1
-
 
 class SimSan:
-    """The per-stack sanitizer bundle: wiring, verification, findings.
+    """The per-stack sanitizer bundle: hooks, verification, findings.
 
-    Constructed by :class:`~repro.core.comparison.StorageStack` when
-    ``san=True``: attaches a :class:`TransportSan` to the stack's
-    transport and an :class:`RpcSan` to each RPC peer, and reads the
-    :class:`CheckedSimulator`'s order/process registries at verify time.
+    :class:`~repro.core.comparison.StorageStack` attaches one as the
+    simulator's ``san`` slot when ``san=True``.  Every transport and RPC
+    peer on that simulator reports to it, passing itself
+    (``san.note_send(self, message)``), so one :class:`TransportSan` per
+    transport and one :class:`RpcSan` per peer are kept here, in
+    first-report order, and all of them are checked — every connection
+    of an MC/S session included.  Every hook is a bare counter update.
+    The :class:`CheckedSimulator`'s order/process registries are read at
+    verify time.
     """
 
     def __init__(self, stack):
         self.stack = stack
-        self.transport_san = TransportSan()
-        stack.transport.san = self.transport_san
-        self.rpc_sans = []
-        for peer in stack.rpc_peers():
-            san = RpcSan(peer.name)
-            peer.san = san
-            self.rpc_sans.append((peer, san))
+        self.transports: Dict[Any, TransportSan] = {}
+        self.peers: Dict[Any, RpcSan] = {}
+
+    # -- transport hooks (DuplexTransport._deliver) ---------------------------
+
+    def _transport(self, transport) -> TransportSan:
+        counters = self.transports.get(transport)
+        if counters is None:
+            counters = self.transports[transport] = TransportSan()
+        return counters
+
+    def note_send(self, transport, _message) -> None:
+        self._transport(transport).sent += 1
+
+    def note_loss(self, transport, _message) -> None:
+        self._transport(transport).lost += 1
+
+    def note_fault_drop(self, transport, _message) -> None:
+        self._transport(transport).fault_dropped += 1
+
+    def note_fault_duplicate(self, transport, _message) -> None:
+        self._transport(transport).fault_duplicated += 1
+
+    def note_scheduled(self, transport, _message) -> None:
+        self._transport(transport).scheduled += 1
+
+    # -- RPC hooks (RpcPeer) --------------------------------------------------
+
+    def _peer(self, peer) -> RpcSan:
+        counters = self.peers.get(peer)
+        if counters is None:
+            counters = self.peers[peer] = RpcSan(peer.name)
+        return counters
+
+    # calling side
+    def note_issued(self, peer, xid: int) -> None:
+        self._peer(peer).xids_issued.add(xid)
+
+    def note_orphan_reply(self, peer, xid: int) -> None:
+        # A reply with no pending call: legitimate when the call was
+        # retransmitted/cancelled (its xid was issued), a protocol bug
+        # otherwise.  Classified in verify().
+        self._peer(peer).orphan_replies.append(xid)
+
+    # serving side
+    def note_request(self, peer, _message) -> None:
+        self._peer(peer).requests += 1
+
+    def note_request_cancelled(self, peer, _message) -> None:
+        self._peer(peer).cancelled += 1
+
+    def note_request_replayed(self, peer, _message) -> None:
+        self._peer(peer).replayed += 1
+
+    def note_request_dropped_in_progress(self, peer, _message) -> None:
+        self._peer(peer).dropped_in_progress += 1
+
+    def note_request_served(self, peer, _message) -> None:
+        self._peer(peer).served += 1
 
     # -- individual checks ----------------------------------------------------
 
@@ -290,37 +302,36 @@ class SimSan:
 
     def _message_findings(self) -> List[Finding]:
         findings: List[Finding] = []
-        t = self.transport_san
-        transport = self.stack.transport
-        if t.sent != t.lost + t.fault_dropped + t.scheduled:
-            findings.append(Finding(
-                "S404",
-                "transport conservation broken: %d sent != %d lost + %d "
-                "fault-dropped + %d scheduled"
-                % (t.sent, t.lost, t.fault_dropped, t.scheduled)))
-        delivered = (transport.client.inbox.total_put
-                     + transport.server.inbox.total_put)
-        expected = t.scheduled + t.fault_duplicated
-        if delivered != expected:
-            findings.append(Finding(
-                "S404",
-                "%d message deliveries scheduled but %d arrived "
-                "(%d still in flight at end of run)"
-                % (expected, delivered, expected - delivered)))
-        for endpoint in (transport.client, transport.server):
-            backlog = len(endpoint.inbox)
-            if backlog:
+        for transport, t in self.transports.items():
+            if t.sent != t.lost + t.fault_dropped + t.scheduled:
                 findings.append(Finding(
                     "S404",
-                    "endpoint %r ends the run with %d undispatched "
-                    "message%s in its inbox"
-                    % (endpoint.name, backlog,
-                       "" if backlog == 1 else "s")))
+                    "transport conservation broken: %d sent != %d lost + "
+                    "%d fault-dropped + %d scheduled"
+                    % (t.sent, t.lost, t.fault_dropped, t.scheduled)))
+            delivered = (transport.client.inbox.total_put
+                         + transport.server.inbox.total_put)
+            expected = t.scheduled + t.fault_duplicated
+            if delivered != expected:
+                findings.append(Finding(
+                    "S404",
+                    "%d message deliveries scheduled but %d arrived "
+                    "(%d still in flight at end of run)"
+                    % (expected, delivered, expected - delivered)))
+            for endpoint in (transport.client, transport.server):
+                backlog = len(endpoint.inbox)
+                if backlog:
+                    findings.append(Finding(
+                        "S404",
+                        "endpoint %r ends the run with %d undispatched "
+                        "message%s in its inbox"
+                        % (endpoint.name, backlog,
+                           "" if backlog == 1 else "s")))
         return findings
 
     def _rpc_findings(self) -> List[Finding]:
         findings: List[Finding] = []
-        for peer, san in self.rpc_sans:
+        for peer, san in self.peers.items():
             outstanding = len(peer._pending)
             if outstanding:
                 findings.append(Finding(
@@ -383,7 +394,7 @@ class SimSan:
         with the recent-event evidence attached (recorder.dumps).
         """
         found = self.findings()
-        recorder = getattr(self.stack, "recorder", None)
+        recorder = self.stack.sim.recorder
         if recorder is not None:
             for finding in found:
                 recorder.dump(finding.code, "simsan", finding.message)

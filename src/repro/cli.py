@@ -496,7 +496,9 @@ def _cells_summary(runner: ExperimentRunner, jobs: Optional[int]) -> None:
 
 
 def _run_traced(kind: str, workload: str, san: bool = False):
-    stack = make_stack(kind, trace=True, san=san)
+    # Telemetry rides along as the trace's vmstat: its windows become
+    # the Chrome file's counter tracks.
+    stack = make_stack(kind, trace=True, san=san, telemetry=True)
     stack.run(TRACE_WORKLOADS[workload](stack.client))
     stack.quiesce()
     stack.check()
@@ -517,7 +519,7 @@ def cmd_trace(args) -> int:
                                    limit=args.limit))
         print()
     if args.out:
-        write_chrome_trace(tracer, args.out)
+        write_chrome_trace(tracer, args.out, stack.telemetry)
         print("chrome trace: %s (open in chrome://tracing or Perfetto)"
               % args.out)
     if args.jsonl:

@@ -32,7 +32,7 @@ from ..net.transport import DuplexTransport
 from ..nfs.client import NfsClient
 from ..nfs.server import NfsServer
 from ..obs.proxy import TracedClient
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import Tracer
 from ..sim import Simulator
 from ..storage.raid import Raid5Volume
 from .counters import CountersSnapshot, MessageCounters
@@ -77,8 +77,7 @@ class StorageStack:
     """A fully wired client/server testbed for one protocol stack."""
 
     def __init__(self, kind: str, params: Optional[TestbedParams] = None,
-                 trace: bool = False, tracer: Optional[NullTracer] = None,
-                 fault_plan=None, san: bool = False,
+                 trace: bool = False, fault_plan=None, san: bool = False,
                  telemetry: bool = False, heartbeat: bool = False,
                  recorder: bool = False, sim: Optional[Any] = None):
         if kind not in STACK_KINDS:
@@ -111,11 +110,6 @@ class StorageStack:
             self.sim = CheckedSimulator()
         else:
             self.sim = Simulator()
-        # Observability: a recording Tracer when requested, else the
-        # zero-overhead NULL_TRACER (identical event sequence to untraced).
-        if tracer is None:
-            tracer = Tracer(self.sim) if trace else NULL_TRACER
-        self.tracer = tracer
         cpu = self.params.cpu
         self.client_host = Host(self.sim, cpu.client_cpus, "client")
         self.server_host = Host(self.sim, cpu.server_cpus, "server")
@@ -131,7 +125,6 @@ class StorageStack:
             counters=self.counters,
             reliable=self.params.nfs.transport != "udp" or kind == "iscsi",
             name=kind,
-            tracer=self.tracer,
         )
         self.raid = Raid5Volume(
             self.sim,
@@ -141,66 +134,53 @@ class StorageStack:
             parity_cpu_per_byte=cpu.raid_parity_per_byte,
             io_cpu=cpu.disk_io_issue,
             name="array",
-            tracer=self.tracer,
         )
         if kind == "iscsi":
             self._build_iscsi()
         else:
             self._build_nfs()
         self.raw_client = self.client
-        if self.tracer.enabled:
-            self.client = TracedClient(self.client, self.tracer)
-            self._register_probes()
-        # Streaming telemetry (repro.obs.telemetry): bounded-memory
-        # rollups, built only on request.  Every probe is a pure read of
-        # existing accounting state, so a telemetry-on run produces the
-        # same measured outputs as a plain one.
+        # Instruments: each is built only on request and hangs off the
+        # simulator slot of the same name, where every hook site of every
+        # transport and RPC peer (MC/S connections included) finds it;
+        # the stack keeps a handle to each, ``None`` when off.  They
+        # observe and never schedule on the hook path, and telemetry's
+        # probes are pure reads, so an instrumented run keeps the plain
+        # run's event sequence and measured outputs.  The fault injector
+        # acts: it is built only for a non-empty plan, and its clock
+        # starts after the mount (make_stack).
+        sim = self.sim
+        self.tracer = None
+        if trace:
+            self.tracer = sim.tracer = Tracer(sim)
+            self.client = TracedClient(self.client, sim)
         self.telemetry = None
         if telemetry:
             from ..obs.telemetry import Heartbeat, Telemetry
             hb = Heartbeat("stack:" + kind) if heartbeat else None
-            self.telemetry = Telemetry(self.sim, heartbeat=hb)
-            self.transport.telem = self.telemetry
+            self.telemetry = sim.telemetry = Telemetry(sim, heartbeat=hb)
             self._register_telemetry()
             self.telemetry.start()
-        # Flight recorder (repro.obs.explain): a bounded ring of recent
-        # kernel events and wire messages, built only on request.  It
-        # observes and never schedules, so recorder-on runs keep the
-        # exact same event sequence; simsan/telemetry findings dump its
-        # context window as evidence.
         self.recorder = None
         if recorder:
             from ..obs.explain import FlightRecorder
-            self.recorder = FlightRecorder(self.sim)
-            self.sim.recorder = self.recorder
-            self.transport.recorder = self.recorder
-            if self.telemetry is not None:
-                self.telemetry.recorder = self.recorder
-        # Fault injection (repro.faults): built only for a non-empty plan,
-        # so unfaulted stacks keep the exact pre-existing event sequence.
+            self.recorder = sim.recorder = FlightRecorder(sim)
         self.fault_injector = None
         if fault_plan is not None and not fault_plan.is_empty:
             from ..faults.injector import FaultInjector
-            self.fault_injector = FaultInjector(
-                self.sim,
+            self.fault_injector = sim.fault = FaultInjector(
+                sim,
                 fault_plan,
                 transport=self.transport,
                 link=self.link,
                 raid=self.raid,
                 nfs_server=self.server,
                 initiator=self.initiator,
-                tracer=self.tracer,
             )
-            # MC/S: every connection of the session crosses the same
-            # faulted wire, so reorder/loss/flap plans apply to the
-            # extra transports too (the injector ctor only attached to
-            # the leading one).
-            for transport in self.mcs_transports:
-                transport.fault = self.fault_injector
         self.sanitizer = None
         if san:
             from ..check.simsan import SimSan
-            self.sanitizer = SimSan(self)
+            self.sanitizer = sim.san = SimSan(self)
         self.mounted = False
 
     # -- construction ----------------------------------------------------------------
@@ -257,13 +237,11 @@ class StorageStack:
             per_message_cpu=cpu.net_per_message,
             per_byte_cpu=cpu.copy_per_byte,
             name="iscsi.target.rpc",
-            tracer=self.tracer,
             track="server",
         )
         self.target = IscsiTarget(
             self.sim, self.raid, target_rpc,
             cpu=self.server_host.cpu, cpu_params=cpu,
-            tracer=self.tracer,
         )
         initiator_rpc = RpcPeer(
             self.sim,
@@ -273,7 +251,6 @@ class StorageStack:
             per_message_cpu=cpu.net_per_message,
             per_byte_cpu=cpu.copy_per_byte,
             name="iscsi.initiator.rpc",
-            tracer=self.tracer,
             track="client",
         )
         # MC/S (repro.iscsi.mcs): extra TCP connections share the one
@@ -291,7 +268,6 @@ class StorageStack:
                 counters=self.counters,
                 reliable=True,
                 name="%s.mcs%d" % (self.kind, conn),
-                tracer=self.tracer,
             )
             self.mcs_transports.append(transport)
             conn_target_rpc = RpcPeer(
@@ -302,7 +278,6 @@ class StorageStack:
                 per_message_cpu=cpu.net_per_message,
                 per_byte_cpu=cpu.copy_per_byte,
                 name="iscsi.target.rpc.c%d" % conn,
-                tracer=self.tracer,
                 track="server",
             )
             self.target.add_connection(conn_target_rpc)
@@ -314,7 +289,6 @@ class StorageStack:
                 per_message_cpu=cpu.net_per_message,
                 per_byte_cpu=cpu.copy_per_byte,
                 name="iscsi.initiator.rpc.c%d" % conn,
-                tracer=self.tracer,
                 track="client",
             ))
         if iscsi.connections > 1:
@@ -325,7 +299,6 @@ class StorageStack:
             self.sim, initiator_rpc, nblocks=self.raid.nblocks,
             params=self.params.iscsi,
             cpu=self.client_host.cpu, cpu_params=cpu,
-            tracer=self.tracer,
             session=self.session,
         )
         self.fs = Ext3Fs(
@@ -339,7 +312,6 @@ class StorageStack:
             readahead_blocks=8,
             testbed=self.params,
             name="client-ext3",
-            tracer=self.tracer,
             track="client",
         )
         self.client = Vfs(self.fs)
@@ -359,7 +331,6 @@ class StorageStack:
             readahead_blocks=8,
             testbed=self.params,
             name="server-ext3",
-            tracer=self.tracer,
             track="server",
         )
         server_rpc = RpcPeer(
@@ -372,12 +343,10 @@ class StorageStack:
             ),
             per_byte_cpu=cpu.copy_per_byte,
             name="nfsd.rpc",
-            tracer=self.tracer,
             track="server",
         )
         self.server = NfsServer(
             self.sim, self.fs, server_rpc, params=nfs, cpu_params=cpu,
-            tracer=self.tracer,
         )
         retransmit = RetransmitPolicy(
             timeout=nfs.rpc_timeout,
@@ -394,7 +363,6 @@ class StorageStack:
             per_byte_cpu=cpu.copy_per_byte,
             retransmit=retransmit,
             name="nfs.client.rpc",
-            tracer=self.tracer,
             track="client",
         )
         self.nfs_client = NfsClient(
@@ -404,7 +372,6 @@ class StorageStack:
             cache_params=self.params.cache,
             cpu_params=cpu,
             readahead_pages=4,
-            tracer=self.tracer,
         )
         self.client = self.nfs_client
         self.target = None
@@ -412,48 +379,15 @@ class StorageStack:
         self.session = None
         self.mcs_transports = []
 
-    def _register_probes(self) -> None:
-        """Attach the vmstat-style utilization probes and start sampling."""
-
-        def cpu_probe(host: Host):
-            tracker = host.cpu.tracker
-            def probe() -> float:
-                tracker._accumulate()
-                return tracker.busy_time / tracker.capacity
-            return probe
-
-        self.tracer.add_probe(
-            "cpu.client", cpu_probe(self.client_host),
-            kind="cumulative", track="client",
-        )
-        self.tracer.add_probe(
-            "cpu.server", cpu_probe(self.server_host),
-            kind="cumulative", track="server",
-        )
-        self.tracer.add_probe(
-            "link.MBps", lambda: float(self.link.total_bytes),
-            kind="rate", track="wire", scale=1e-6,
-        )
-        self.tracer.add_probe(
-            "disk.queue",
-            lambda: float(sum(
-                disk.queue.queue_length
-                + (disk.queue.capacity - disk.queue.available)
-                for disk in self.raid.disks
-            )),
-            kind="gauge", track="server",
-        )
-        self.tracer.start_sampling()
-
     def _register_telemetry(self) -> None:
         """Register every tier of the testbed on the telemetry collector.
 
-        Unlike the tracer probes above, these never call
-        ``_accumulate()`` or any other mutator: a probe that advanced
-        the busy-time accumulators would change the *order* of float
-        additions, and the reported utilization figures would depend on
-        whether telemetry was enabled.  Each probe recomputes the
-        current value from the raw accounting fields instead.
+        No probe calls ``_accumulate()`` or any other mutator: a probe
+        that advanced the busy-time accumulators would change the
+        *order* of float additions, and the reported utilization figures
+        would depend on whether telemetry was enabled.  Each probe
+        recomputes the current value from the raw accounting fields
+        instead.
         """
         telem = self.telemetry
         sim = self.sim
@@ -652,7 +586,7 @@ def make_stack(kind: str, params: Optional[TestbedParams] = None,
     """Build (and by default mount) a stack of the given kind.
 
     Pass ``trace=True`` to attach a recording :class:`repro.obs.Tracer`
-    (exposed as ``stack.tracer``); the default is the no-op tracer.
+    (exposed as ``stack.tracer``, ``None`` on an untraced stack).
     Pass a non-empty :class:`repro.faults.FaultPlan` as ``fault_plan`` to
     arm fault injection; its event clock starts *after* the mount, so plan
     times are relative to the beginning of the workload.

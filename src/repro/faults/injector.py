@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from .plan import (
     DiskFailure,
     DuplicateWindow,
@@ -71,7 +70,6 @@ class FaultInjector:
         raid: Any = None,
         nfs_server: Any = None,
         initiator: Any = None,
-        tracer: Any = None,
     ):
         self.sim = sim
         self.plan = plan
@@ -80,7 +78,6 @@ class FaultInjector:
         self.raid = raid
         self.nfs_server = nfs_server
         self.initiator = initiator
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.rng = random.Random(plan.seed)
         self.started = False
         # Active-window state consulted by filter_message.
@@ -92,8 +89,6 @@ class FaultInjector:
         # Observability: bounded event log + unbounded counters.
         self.counts: Dict[str, int] = {}
         self.log: List[Tuple[float, str, str]] = []
-        if transport is not None:
-            transport.fault = self
         if initiator is not None:
             initiator.enable_fault_mode()
 
@@ -111,8 +106,9 @@ class FaultInjector:
     def _driver(self, event: Any) -> Generator:
         yield self.sim.timeout(event.start)
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "fault:" + event.kind,
                 cat="fault",
                 track="wire",
@@ -137,7 +133,7 @@ class FaultInjector:
         finally:
             self._note("window." + event.kind, "end")
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
 
     # -- event drivers ---------------------------------------------------------
 
@@ -267,8 +263,9 @@ class FaultInjector:
         self.counts[name] = self.counts.get(name, 0) + 1
         if len(self.log) < _LOG_LIMIT:
             self.log.append((self.sim.now, name, detail))
-        if self.tracer.enabled:
-            self.tracer.instant("fault." + name, cat="fault", track="wire", what=detail)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant("fault." + name, cat="fault", track="wire", what=detail)
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able digest for experiment cells and scenario tables."""

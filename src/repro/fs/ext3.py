@@ -32,7 +32,6 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..cache.block_cache import BlockCache
 from ..core.params import CpuParams, Ext3Params, TestbedParams
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Resource, Simulator
 from ..storage.blockdev import BlockDevice
 from .alloc import ExtentAllocator, IdAllocator
@@ -68,7 +67,6 @@ class Ext3Fs:
         readahead_blocks: int = 0,
         testbed: Optional[TestbedParams] = None,
         name: str = "ext3",
-        tracer: Optional[NullTracer] = None,
         track: str = "server",
     ):
         self.sim = sim
@@ -78,7 +76,6 @@ class Ext3Fs:
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
         self.readahead_blocks = readahead_blocks
         self.name = name
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
         self.layout = DiskLayout(device.nblocks, params=self.params)
         cache_params = testbed.cache if testbed is not None else None
@@ -89,12 +86,10 @@ class Ext3Fs:
             params=cache_params,
             max_coalesced_bytes=max_coalesced_write,
             name=name + ".cache",
-            tracer=self.tracer,
             track=track,
         )
         self.journal = Journal(sim, self.cache, self.layout, self.params,
-                               name=name + ".jbd", tracer=self.tracer,
-                               track=track)
+                               name=name + ".jbd", track=track)
         self.inode_alloc = IdAllocator(self.layout.max_inodes)
         self.block_alloc = ExtentAllocator(self.layout.data_start, self.layout.data_blocks)
         self.inodes: Dict[int, Inode] = {}

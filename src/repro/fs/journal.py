@@ -23,7 +23,6 @@ from typing import Generator, Optional, Set
 
 from ..cache.block_cache import BlockCache
 from ..core.params import Ext3Params
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Simulator
 from .layout import DiskLayout
 
@@ -40,13 +39,11 @@ class Journal:
         layout: DiskLayout,
         params: Optional[Ext3Params] = None,
         name: str = "journal",
-        tracer: Optional[NullTracer] = None,
         track: str = "server",
     ):
         self.sim = sim
         self.cache = cache
         self.layout = layout
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
         self.params = params if params is not None else Ext3Params()
         self.name = name
@@ -99,8 +96,9 @@ class Journal:
         if not self._metadata and not self._ordered_data:
             return None
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "journal.commit", cat="journal", track=self.track,
                 metadata=len(self._metadata), ordered=len(self._ordered_data),
             )
@@ -127,7 +125,7 @@ class Journal:
         finally:
             self._committing = False
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
         if len(self._checkpoint_pending) * 3 > self.layout.journal_blocks:
             yield from self.checkpoint()
         return None
@@ -138,8 +136,9 @@ class Journal:
         self._checkpoint_pending.clear()
         if not blocks:
             return None
-        if self.tracer.enabled:
-            result = yield from self.tracer.wrap(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            result = yield from tracer.wrap(
                 "journal.checkpoint", self._checkpoint_runs(blocks),
                 cat="journal", track=self.track, blocks=len(blocks),
             )

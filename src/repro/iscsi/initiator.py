@@ -16,7 +16,6 @@ from typing import Any, Generator, Iterable, Optional
 
 from ..core.params import CpuParams, IscsiParams
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Resource, Simulator
 from ..storage.blockdev import BlockDevice
 from . import scsi
@@ -36,7 +35,6 @@ class IscsiInitiator(BlockDevice):
         cpu: Optional[Resource] = None,
         cpu_params: Optional[CpuParams] = None,
         name: str = "iscsi-initiator",
-        tracer: Optional[NullTracer] = None,
         session=None,
     ):
         super().__init__(nblocks, name=name)
@@ -47,7 +45,6 @@ class IscsiInitiator(BlockDevice):
         # in-order completion buffer; session=None keeps the original
         # direct rpc.call path (and event sequence) byte-identical.
         self.session = session
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.params = params if params is not None else IscsiParams()
         self.cpu = cpu
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
@@ -136,8 +133,9 @@ class IscsiInitiator(BlockDevice):
         dropped = self._drop_event
         self._drop_event = self.sim.event()
         dropped.trigger(None)
-        if self.tracer.enabled:
-            self.tracer.instant("iscsi.session-drop", cat="fault",
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant("iscsi.session-drop", cat="fault",
                                 track="client", dev=self.name)
         self.sim.spawn(self._relogin(), name=self.name + ".relogin")
 
@@ -159,8 +157,9 @@ class IscsiInitiator(BlockDevice):
         self.logins += 1
         self._session_up = True
         self._up_event.trigger(None)
-        if self.tracer.enabled:
-            self.tracer.instant("iscsi.relogin", cat="fault",
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant("iscsi.relogin", cat="fault",
                                 track="client", dev=self.name)
         return None
 
@@ -191,8 +190,9 @@ class IscsiInitiator(BlockDevice):
     def _command(self, op: str, lba: int, count: int, payload: int) -> Generator:
         self.commands_issued += 1
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "scsi:" + op, cat="scsi", track="client", lba=lba, count=count,
             )
         try:
@@ -203,7 +203,7 @@ class IscsiInitiator(BlockDevice):
             self.commands_completed += 1
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
         return None
 
     def _charge(self, cost: float) -> Iterable[Any]:

@@ -14,7 +14,6 @@ from typing import Any, Generator, Iterable, Optional
 from ..core.params import CpuParams
 from ..net.message import Message
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Resource, Simulator
 from ..storage.blockdev import BlockDevice
 from . import scsi
@@ -33,12 +32,10 @@ class IscsiTarget:
         cpu: Optional[Resource] = None,
         cpu_params: Optional[CpuParams] = None,
         name: str = "iscsi-target",
-        tracer: Optional[NullTracer] = None,
     ):
         self.sim = sim
         self.volume = volume
         self.rpc = rpc
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cpu = cpu
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
         self.name = name
@@ -58,8 +55,9 @@ class IscsiTarget:
     def handle(self, message: Message) -> Generator:
         """RPC handler: dispatch one SCSI command to the backing volume."""
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "scsi.serve:" + message.op, cat="scsi", track="server")
         try:
             self.commands_served += 1
@@ -89,7 +87,7 @@ class IscsiTarget:
             return 0, {"status": "check_condition", "op": op}
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
 
     def _charge(self, cost: float) -> Iterable[Any]:
         """Charge target CPU; an eager call, ``yield from`` the result."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Event, Resource, Simulator
 from .message import Message, REPLY, REQUEST
 from .transport import Endpoint
@@ -99,22 +98,17 @@ class RpcPeer:
         per_byte_cpu: float = 0.0,
         retransmit: Optional[RetransmitPolicy] = None,
         name: str = "rpc",
-        tracer: Optional[NullTracer] = None,
         track: str = "client",
     ):
         self.sim = sim
         self.endpoint = endpoint
         self._send = send
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
         self.cpu = cpu
         self.per_message_cpu = per_message_cpu
         self.per_byte_cpu = per_byte_cpu
         self.retransmit = retransmit
         self.name = name
-        # Optional RpcSan (repro.check.simsan): observation-only hooks,
-        # same None-guarded pattern as the transport's fault hook.
-        self.san = None
         self.handler: Optional[Handler] = None
         self._pending: Dict[int, Event] = {}
         self._duplicate_cache: "OrderedDict[int, Message]" = OrderedDict()
@@ -146,11 +140,13 @@ class RpcPeer:
             body=body,
         )
         self.calls_issued += 1
-        if self.san is not None:
-            self.san.note_issued(request.xid)
+        san = self.sim.san
+        if san is not None:
+            san.note_issued(self, request.xid)
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "rpc:" + op, cat="rpc", track=self.track,
                 xid=request.xid, bytes=request.size,
             )
@@ -169,7 +165,7 @@ class RpcPeer:
                 self._pending.pop(request.xid, None)
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
         return reply
 
     def _call_with_retries(
@@ -208,8 +204,9 @@ class RpcPeer:
                     )
                     reply_event = self.sim.event()
                     self._pending[clone.xid] = reply_event
-                    if self.san is not None:
-                        self.san.note_issued(clone.xid)
+                    san = self.sim.san
+                    if san is not None:
+                        san.note_issued(self, clone.xid)
                 else:
                     clone = Message(
                         op=request.op,
@@ -247,25 +244,27 @@ class RpcPeer:
         pending = self._pending.pop(message.xid, None)
         if pending is not None:
             pending.trigger(message)
-        # else: a duplicate reply for a retransmitted call — dropped.
-        elif self.san is not None:
-            self.san.note_orphan_reply(message.xid)
+        else:  # a duplicate reply for a retransmitted call: dropped
+            san = self.sim.san
+            if san is not None:
+                san.note_orphan_reply(self, message.xid)
 
     def _serve(self, message: Message) -> Generator:
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "serve:" + message.op, cat="rpc", track=self.track,
                 parent=message.span_id or None, xid=message.xid,
             )
         try:
-            san = self.san
+            san = self.sim.san
             if san is not None:
-                san.note_request(message)
+                san.note_request(self, message)
             if message.cancelled:
                 # The connection that carried it was torn down in flight.
                 if san is not None:
-                    san.note_request_cancelled(message)
+                    san.note_request_cancelled(self, message)
                 return
             yield from self._charge(message.size)
             cached = self._duplicate_cache.get(message.xid)
@@ -273,7 +272,7 @@ class RpcPeer:
                 # Retransmitted request: replay the reply without re-executing.
                 self.retransmissions_seen += 1
                 if san is not None:
-                    san.note_request_replayed(message)
+                    san.note_request_replayed(self, message)
                 yield from self._charge(cached.size)
                 self._send(cached)
                 return
@@ -282,7 +281,7 @@ class RpcPeer:
                 # original execution's reply will satisfy the caller.
                 self.retransmissions_seen += 1
                 if san is not None:
-                    san.note_request_dropped_in_progress(message)
+                    san.note_request_dropped_in_progress(self, message)
                 return
             if self.handler is None:
                 raise RpcError("%s received a call but has no handler" % (self.name,))
@@ -294,13 +293,13 @@ class RpcPeer:
             reply = message.make_reply(payload_bytes=payload_bytes, **body)
             self.calls_served += 1
             if san is not None:
-                san.note_request_served(message)
+                san.note_request_served(self, message)
             self._remember_reply(message.xid, reply)
             yield from self._charge(reply.size)
             self._send(reply)
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
 
     def _remember_reply(self, xid: int, reply: Message) -> None:
         self._duplicate_cache[xid] = reply

@@ -25,7 +25,6 @@ import random
 from typing import Optional
 
 from ..core.counters import CountersSnapshot, MessageCounters
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Simulator, Store
 from .link import GIGABIT_BPS, Link, _Channel
 from .message import Message, REPLY, REQUEST
@@ -69,7 +68,6 @@ class DuplexTransport:
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
         name: str = "transport",
-        tracer: Optional[NullTracer] = None,
     ):
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(
@@ -77,23 +75,7 @@ class DuplexTransport:
         if loss_rate and reliable:
             raise ValueError("a reliable transport cannot drop messages")
         self.sim = sim
-        # Optional FaultInjector (repro.faults); None costs one load per
-        # delivery and keeps the unfaulted event sequence unchanged.
-        self.fault = None
-        # Optional TransportSan (repro.check.simsan): same pattern — the
-        # hooks are bare counter increments, so a sanitized run's event
-        # sequence is identical to an unsanitized one.
-        self.san = None
-        # Optional Telemetry (repro.obs.telemetry): push-counter hooks
-        # only record into rollups (no events), guarded with
-        # `if telem is not None:` (simlint O302).
-        self.telem = None
-        # Optional FlightRecorder (repro.obs.explain): the send hooks
-        # append into its bounded message ring, guarded with
-        # `if recorder is not None:` (simlint O303).
-        self.recorder = None
         self.link = link
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.counters = counters if counters is not None else MessageCounters()
         self.reliable = reliable
         self.loss_rate = loss_rate
@@ -106,9 +88,11 @@ class DuplexTransport:
     def send_from_client(self, message: Message) -> None:
         """Inject ``message`` on the client->server direction."""
         self._count(message)
-        if self.tracer.enabled:
-            self.tracer.message("c2s", message)
-        recorder = self.recorder
+        sim = self.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.message("c2s", message)
+        recorder = sim.recorder
         if recorder is not None:
             recorder.note_message("c2s", message)
         self._deliver(message, self.link.forward, self.server)
@@ -116,9 +100,11 @@ class DuplexTransport:
     def send_from_server(self, message: Message) -> None:
         """Inject ``message`` on the server->client direction."""
         self._count(message)
-        if self.tracer.enabled:
-            self.tracer.message("s2c", message)
-        recorder = self.recorder
+        sim = self.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.message("s2c", message)
+        recorder = sim.recorder
         if recorder is not None:
             recorder.note_message("s2c", message)
         self._deliver(message, self.link.backward, self.client)
@@ -130,37 +116,38 @@ class DuplexTransport:
 
     def _deliver(self, message: Message, channel, destination: Endpoint) -> None:
         delay = channel.delivery_delay(message.size)
-        san = self.san
+        sim = self.sim
+        san = sim.san
         if san is not None:
-            san.note_send(message)
+            san.note_send(self, message)
         if not self.reliable and self.rng.random() < self.loss_rate:
             if san is not None:
-                san.note_loss(message)
+                san.note_loss(self, message)
             return  # the bytes were spent; the message never arrives
-        fault = self.fault
+        fault = sim.fault
         if fault is not None:
             verdict, extra = fault.filter_message(
                 message, channel is self.link.forward)
             if verdict is not None:
                 if verdict == "drop":
                     if san is not None:
-                        san.note_fault_drop(message)
+                        san.note_fault_drop(self, message)
                     return  # lost in flight; bytes were spent
                 if verdict == "delay":
                     delay += extra
                 else:  # "duplicate": a second copy trails the first
                     if san is not None:
-                        san.note_fault_duplicate(message)
-                    self.sim._schedule_call1(
+                        san.note_fault_duplicate(self, message)
+                    sim._schedule_call1(
                         destination.inbox.put, message, delay + extra)
         if san is not None:
-            san.note_scheduled(message)
-        telem = self.telem
-        if telem is not None:
+            san.note_scheduled(self, message)
+        telemetry = sim.telemetry
+        if telemetry is not None:
             # Progress signal for the zero-progress-stall watcher (T503).
-            telem.count("net.delivered", 1.0)
+            telemetry.count("net.delivered", 1.0)
         # Flat calendar record: no per-message closure allocation.
-        self.sim._schedule_call1(destination.inbox.put, message, delay)
+        sim._schedule_call1(destination.inbox.put, message, delay)
 
 
 class _TransportHalf:
@@ -174,7 +161,7 @@ class _TransportHalf:
     """
 
     __slots__ = ("shard", "peer_shard", "peer_port", "channel", "counters",
-                 "endpoint", "telem")
+                 "endpoint")
 
     def __init__(self, shard, peer_shard: int, peer_port: str,
                  channel: _Channel, endpoint_name: str):
@@ -184,15 +171,11 @@ class _TransportHalf:
         self.channel = channel
         self.counters = MessageCounters()
         self.endpoint = Endpoint(shard.sim, endpoint_name)
-        self.telem = None
 
     def send(self, message: Message) -> None:
         """Reserve the channel and post toward the peer's shard."""
         _tally(self.counters, message)
         delay = self.channel.delivery_delay(message.size)
-        telem = self.telem
-        if telem is not None:
-            telem.count("net.delivered", 1.0)
         self.shard.post(self.peer_shard, self.peer_port, message, delay)
 
 

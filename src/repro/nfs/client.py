@@ -43,7 +43,6 @@ from ..fs.errors import (
 from ..fs.inode import FileAttributes, FileType
 from ..net.message import Message
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Event, Simulator
 from . import protocol as p
 
@@ -109,11 +108,9 @@ class NfsClient:
         readahead_pages: int = 2,
         name: str = "nfs-client",
         client_id: str = "client0",
-        tracer: Optional[NullTracer] = None,
     ):
         self.sim = sim
         self.rpc = rpc
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.params = params if params is not None else NfsParams()
         self.cache_params = cache_params if cache_params is not None else CacheParams()
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
@@ -851,8 +848,9 @@ class NfsClient:
                 and not page.dirty
             ):
                 missing.append(index)
-        if self.tracer.enabled:
-            self.tracer.instant(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
                 "pagecache." + ("hit" if not missing else "miss"),
                 cat="cache", track="client", ino=ino,
                 hits=(last - first + 1) - len(missing), misses=len(missing),

@@ -28,7 +28,6 @@ from ..fs.ext3 import Ext3Fs, ROOT_INO
 from ..fs.inode import Inode
 from ..net.message import Message
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Resource, Simulator
 from . import protocol as p
 
@@ -91,12 +90,10 @@ class NfsServer:
         cpu_params: Optional[CpuParams] = None,
         state: Optional["ServerState"] = None,
         name: str = "nfsd",
-        tracer: Optional[NullTracer] = None,
     ):
         self.sim = sim
         self.fs = fs
         self.rpc = rpc
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.params = params if params is not None else NfsParams()
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
         self.name = name
@@ -154,8 +151,9 @@ class NfsServer:
         if self.params.version >= 4:
             self.state.dir_delegations.clear()
             self.state.cache_registry.clear()
-        if self.tracer.enabled:
-            self.tracer.instant(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
                 "nfs.server-restart", cat="fault", track="server",
                 stateless=self.params.version < 4,
             )
@@ -165,8 +163,9 @@ class NfsServer:
     def handle(self, message: Message) -> Generator:
         """RPC handler: returns ``(reply_payload_bytes, reply_body)``."""
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "nfs:" + message.op, cat="nfs", track="server")
         try:
             handler = self._dispatch.get(message.op)
@@ -183,7 +182,7 @@ class NfsServer:
             return result
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
 
     def _inode(self, ino: int) -> Generator:
         # iget's own coroutine: no wrapper frame per NFS procedure.

@@ -5,10 +5,9 @@ The paper observed its live testbed with Ethereal (packet traces),
 This package is the simulated equivalent of all three:
 
 * :class:`~repro.obs.tracer.Tracer` records protocol messages, causal
-  spans across every layer, point events, latency histograms, and sampled
-  utilization timelines.  The default :data:`~repro.obs.tracer.NULL_TRACER`
-  is a disabled no-op, so untraced runs are bit-identical to the
-  uninstrumented simulator;
+  spans across every layer, point events, and latency histograms.  An
+  untraced run has no tracer at all (the simulator's ``tracer`` slot is
+  ``None``), so it is bit-identical to the uninstrumented simulator;
 * :mod:`~repro.obs.export` renders a recording as a JSONL packet trace, a
   per-op summary table, or a Chrome ``trace_event`` file for
   ``chrome://tracing`` / Perfetto;
@@ -20,12 +19,14 @@ This package is the simulated equivalent of all three:
 * :mod:`~repro.obs.bench` runs named workload suites on both stacks and
   emits/compares schema-versioned ``BENCH_*.json`` documents — the
   ``repro bench`` regression gate;
-* :mod:`~repro.obs.telemetry` is the *scale-out* counterpart of the
-  tracer: opt-in, bounded-memory streaming rollups of every tier
-  (utilization, queue depth, rates), invariant watchers over the
+* :mod:`~repro.obs.telemetry` is the vmstat of the set and the
+  *scale-out* counterpart of the tracer: opt-in, bounded-memory
+  streaming rollups of every tier (utilization, queue depth, rates)
+  from the repo's one periodic sampler, invariant watchers over the
   stream, run heartbeats on stderr, and associative cross-worker
   merging — rendered by :mod:`~repro.obs.dashboard` as ASCII timeline
-  dashboards or a self-contained HTML export (``repro dash``).
+  dashboards or a self-contained HTML export (``repro dash``), and by
+  :func:`~repro.obs.export.chrome_trace` as counter tracks.
 
 * :mod:`~repro.obs.explain` is the *differential* layer: it diffs two
   runs (stack vs stack, baseline vs candidate bench JSON, faulted vs
@@ -42,7 +43,9 @@ Build a traced stack with ``make_stack(kind, trace=True)`` and read
 ``repro bench`` CLIs; ``make_stack(kind, telemetry=True)`` attaches the
 streaming collector as ``stack.telemetry`` and
 ``make_stack(kind, recorder=True)`` the flight recorder as
-``stack.recorder``.
+``stack.recorder``.  Every instrument hangs off one attachment point,
+the simulator slot of the same name (``sim.tracer``,
+``sim.telemetry``, ``sim.recorder``), which is ``None`` when off.
 """
 
 from .bench import (
@@ -97,11 +100,8 @@ from .profile import (
 )
 from .proxy import SYSCALL_NAMES, TracedClient
 from .tracer import (
-    NULL_TRACER,
-    CounterSample,
     LatencyHistogram,
     MessageEvent,
-    NullTracer,
     PointEvent,
     Span,
     Tracer,
@@ -109,12 +109,9 @@ from .tracer import (
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "PointEvent",
     "MessageEvent",
-    "CounterSample",
     "LatencyHistogram",
     "TracedClient",
     "SYSCALL_NAMES",

@@ -159,8 +159,11 @@ WORKLOADS = {
 
 # Suite -> ((workload, stack kinds), ...).  "quick" is the CI gate:
 # small enough for every push, broad enough to cover metadata (smoke),
-# mixed small-file traffic (postmark), and the paper's headline
-# random-write asymmetry (randwrite).
+# mixed small-file traffic (postmark), and cached overwrites (randwrite).
+# The rand*/seq* workloads write and fsync their 2 MB file first, and it
+# stays cached, so offset order never reaches the wire or the disks:
+# each rand* record equals its seq* twin apart from the workload name,
+# and randwrite does not show the paper's random-write asymmetry.
 SUITES: Dict[str, Tuple[Tuple[str, Tuple[str, ...]], ...]] = {
     "quick": (
         ("smoke", ("nfsv3", "iscsi")),

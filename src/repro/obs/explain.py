@@ -36,10 +36,10 @@ The module also hosts :class:`FlightRecorder`: a bounded ring of recent
 kernel events and wire messages, cheap enough to leave attached, that
 dumps its last-N context window as a span-linked JSON snapshot whenever
 a simsan S-code or telemetry T-watcher finding fires — scale-out
-findings arrive with evidence.  The disabled layer is the attribute
-being ``None``; every hook site guards with ``if recorder is not
-None:`` (simlint rule O303), so recorder-off runs execute the exact
-same event sequence as before the layer existed.
+findings arrive with evidence.  The disabled layer is the simulator's
+``recorder`` slot being ``None``; every hook site guards with ``if
+recorder is not None:`` (simlint rule O301), so recorder-off runs
+execute the exact same event sequence as before the layer existed.
 """
 
 from __future__ import annotations
@@ -90,20 +90,19 @@ _KIND_NAMES = ("event", "call1", "resume", "throw", "release")
 class FlightRecorder:
     """A bounded ring of recent kernel events and wire messages.
 
-    The black box for findings: components hold ``recorder = None`` by
-    default and hot paths guard with ``if recorder is not None:`` (the
-    O303 pattern), so the disabled layer costs one attribute load and
-    branch.  Enabled, each kernel-event note is a tuple append into a
-    fixed-size :class:`collections.deque` — cheap enough to leave on for
-    scale-out runs.  When a sanitizer S-code or telemetry T-watcher
-    finding fires, :meth:`dump` snapshots the current context window
-    (span-linked via each message's ``span_id``) into :attr:`dumps`.
+    The black box for findings: it is attached as the simulator's
+    ``recorder`` slot, ``None`` by default, and hot paths guard with ``if
+    recorder is not None:`` (simlint O301), so the disabled layer costs
+    one attribute load and branch.  Enabled, each kernel-event note is a
+    tuple append into a fixed-size :class:`collections.deque` — cheap
+    enough to leave on for scale-out runs.  When a sanitizer S-code or
+    telemetry T-watcher finding fires, :meth:`dump` snapshots the current
+    context window (span-linked via each message's ``span_id``) into
+    :attr:`dumps`.
 
     The recorder observes and never schedules, so an attached recorder
     leaves the simulated event sequence byte-identical.
     """
-
-    enabled = True
 
     def __init__(self, sim: Any, capacity: int = 256):
         if capacity < 1:

@@ -10,8 +10,9 @@ Three output formats, matching the three observation tools of the paper:
   paper's Tables 2-4 raw material);
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON format: load the file into ``chrome://tracing`` or
-  https://ui.perfetto.dev to browse spans, messages, and utilization
-  counters on a zoomable timeline.
+  https://ui.perfetto.dev to browse spans, messages, and (from a
+  :class:`~repro.obs.telemetry.Telemetry` that rode along) utilization
+  and queue-depth counters on a zoomable timeline.
 
 Plus a textual renderer used by the CLI and the examples:
 :func:`render_span_tree` (causal tree of one or more root spans).
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .telemetry import Telemetry
 from .tracer import Span, Tracer
 
 __all__ = [
@@ -140,13 +142,17 @@ def format_op_summary(tracer: Tracer) -> str:
 # -- Chrome trace_event -------------------------------------------------------
 
 
-def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
+def chrome_trace(tracer: Tracer,
+                 telemetry: Optional[Telemetry] = None) -> Dict[str, Any]:
     """Render the whole recording in Chrome ``trace_event`` format.
 
     Tracks (client/server/wire) map to processes, simulator processes to
     threads.  Spans become complete ("X") events, point events and
-    messages become instants ("i"), utilization samples become counter
-    ("C") series.  Timestamps are simulated microseconds.
+    messages become instants ("i").  Each ``telemetry`` series becomes a
+    counter ("C") series on the track its name starts with (``net.*`` on
+    the wire): one event per non-empty retained window, at the window's
+    start, valued at the window mean (the window total for a pushed
+    progress counter).  Timestamps are simulated microseconds.
     """
     events: List[Dict[str, Any]] = []
     for track, pid in sorted(_TRACK_PIDS.items(), key=lambda kv: kv[1]):
@@ -203,21 +209,32 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
             events.append({"name": "thread_name", "ph": "M",
                            "pid": _pid("wire"), "tid": tid,
                            "args": {"name": name}})
-    for sample in tracer.samples:
-        events.append({
-            "name": sample.name,
-            "ph": "C",
-            "ts": sample.t * 1e6,
-            "pid": _pid(sample.track),
-            "tid": 0,
-            "args": {"value": round(sample.value, 6)},
-        })
+    series = telemetry.series if telemetry is not None else {}
+    for name in sorted(series):
+        rollup = series[name]
+        track = name.split(".", 1)[0]
+        pid = _pid("wire" if track == "net" else track)
+        progress = telemetry.tags.get(name) == "progress"
+        for offset, count in enumerate(rollup.counts):
+            if not count:
+                continue
+            total = rollup.sums[offset]
+            events.append({
+                "name": name,
+                "ph": "C",
+                "ts": (rollup.start + offset) * rollup.width * 1e6,
+                "pid": pid,
+                "tid": 0,
+                "args": {"value": round(total if progress
+                                        else total / count, 6)},
+            })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer: Tracer, path: str) -> int:
+def write_chrome_trace(tracer: Tracer, path: str,
+                       telemetry: Optional[Telemetry] = None) -> int:
     """Write the Chrome trace JSON to ``path``; returns the event count."""
-    trace = chrome_trace(tracer)
+    trace = chrome_trace(tracer, telemetry)
     with open(path, "w") as handle:
         json.dump(trace, handle)
     return len(trace["traceEvents"])

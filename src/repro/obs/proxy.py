@@ -5,16 +5,14 @@ that is where the paper's tables start counting.  Rather than instrument
 the two client implementations (:class:`~repro.fs.vfs.Vfs` and
 :class:`~repro.nfs.client.NfsClient`) a :class:`TracedClient` wraps
 whichever one the stack built and brackets each syscall coroutine in a
-``syscall:<name>`` span.  With tracing disabled the stack exposes the raw
-client object, so the untraced path is bit-identical to an uninstrumented
-build.
+``syscall:<name>`` span, using the tracer attached to the simulator.
+With tracing disabled the stack exposes the raw client object, so the
+untraced path is bit-identical to an uninstrumented build.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator
-
-from .tracer import NullTracer
 
 __all__ = ["TracedClient", "SYSCALL_NAMES"]
 
@@ -37,10 +35,9 @@ class TracedClient:
     quiesce, and fd bookkeeping all pass straight through).
     """
 
-    def __init__(self, client: Any, tracer: NullTracer,
-                 track: str = "client"):
+    def __init__(self, client: Any, sim: Any, track: str = "client"):
         self._client = client
-        self._tracer = tracer
+        self._sim = sim
         self._track = track
 
     @property
@@ -51,14 +48,17 @@ class TracedClient:
     def __getattr__(self, name: str) -> Any:
         attr = getattr(self._client, name)
         if name in SYSCALL_NAMES:
-            tracer = self._tracer
+            sim = self._sim
             track = self._track
 
             def traced_syscall(*args: Any, **kwargs: Any) -> Generator:
-                return tracer.wrap(
-                    "syscall:" + name, attr(*args, **kwargs),
-                    cat="syscall", track=track,
-                )
+                tracer = sim.tracer
+                if tracer is not None:
+                    return tracer.wrap(
+                        "syscall:" + name, attr(*args, **kwargs),
+                        cat="syscall", track=track,
+                    )
+                return attr(*args, **kwargs)
 
             traced_syscall.__name__ = name
             return traced_syscall

@@ -20,12 +20,13 @@ Three pieces:
   resource queues) are sampled on a fixed simulated-time interval by one
   background process; push-style hooks (:meth:`Telemetry.count`,
   :meth:`Telemetry.observe`) let hot paths contribute counters.  The
-  disabled form of the layer is simply ``telem = None`` — every hook
-  site guards with ``if telem is not None:`` (the pattern simlint rule
-  O302 enforces), so a telemetry-off run executes the exact same event
-  sequence as before the layer existed.  Invariant *watchers* scan the
-  stream as it accumulates and report findings the way the simsan
-  sanitizers do (stable codes, human messages).
+  collector is attached as the simulator's ``telemetry`` slot; the
+  disabled form of the layer is that slot being ``None``, and every hook
+  site guards with ``if telemetry is not None:`` (simlint O301), so a
+  telemetry-off run executes the exact same event sequence as before
+  the layer existed.  Invariant *watchers* scan the stream as it
+  accumulates and report findings the way the simsan sanitizers do
+  (stable codes, human messages).
 * :class:`Heartbeat` — wall-clock-paced progress lines on stderr so long
   ``repro all --jobs`` runs are no longer silent: simulated-time versus
   wall-time rate, events per second, calendar depth, and the experiment
@@ -412,21 +413,17 @@ class Heartbeat:
 class Telemetry:
     """The per-stack streaming collector (the enabled form of the layer).
 
-    There is no null object: the disabled layer is the literal ``None``,
-    and every hook site guards with ``if telem is not None:`` — one
-    attribute load and branch, the same contract the fault injector and
-    sanitizers follow (simlint O302 checks the shape).  ``enabled`` is
-    provided for symmetry with :class:`~repro.obs.tracer.Tracer`.
+    There is no null object: the disabled layer is the simulator's
+    ``telemetry`` slot being ``None``, and every hook site guards with
+    ``if telemetry is not None:`` — one attribute load and branch, the
+    contract every instrument follows (simlint O301 checks the shape).
 
     ``interval`` is the sampling period and ``window`` the rollup-window
     width, both in simulated seconds; ``capacity`` bounds the ring.  The
-    sampler is one background process; probes registered *after* it
-    starts are picked up on the next tick (rate baselines are seeded at
-    registration — the tracer's historical silent-drop bug is designed
-    out here).
+    sampler is one background process and the repo's only periodic
+    sampler; series registered *after* it starts are picked up on the
+    next tick (rate baselines are seeded at registration).
     """
-
-    enabled = True
 
     def __init__(self, sim: Any, interval: float = 0.002,
                  window: float = 0.032, capacity: int = 64,
@@ -438,9 +435,6 @@ class Telemetry:
         self.window = window
         self.capacity = capacity
         self.heartbeat = heartbeat
-        # Optional FlightRecorder (repro.obs.explain): every watcher
-        # finding dumps its context window, so T-codes ship evidence.
-        self.recorder = None
         self.series: Dict[str, SeriesRollup] = {}
         self.tags: Dict[str, str] = {}
         self.samples = 0
@@ -464,9 +458,9 @@ class Telemetry:
                    scale: float = 1.0) -> None:
         """Register a sampled series.
 
-        ``kind`` follows the tracer's probe vocabulary: ``"gauge"``
-        records ``fn()`` as-is; ``"cumulative"`` and ``"rate"`` record
-        the per-second rate of change of a growing total (clamped at 0).
+        ``kind`` is ``"gauge"`` (record ``fn()`` as-is, e.g. queue
+        depth), or ``"cumulative"``/``"rate"`` (record the per-second
+        rate of change of a growing total, clamped at 0).
         ``tag`` labels the series for the watchers and the dashboard:
         ``"util"`` (utilization in [0, 1]), ``"queue"`` (depth),
         ``"rate"``, ``"progress"``, or plain ``"gauge"``.
@@ -484,7 +478,7 @@ class Telemetry:
         if kind != "gauge":
             self._last[name] = fn()
 
-    # -- push hooks (guard call sites with `if telem is not None:`) ----------
+    # -- push hooks (guard call sites with `if telemetry is not None:`) ------
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Accumulate a push counter at the current simulated time."""
@@ -543,7 +537,7 @@ class Telemetry:
     def _report(self, finding: TelemetryFinding) -> None:
         """Record one watcher finding; dump flight-recorder context."""
         self.findings.append(finding)
-        recorder = self.recorder
+        recorder = self.sim.recorder
         if recorder is not None:
             recorder.dump(finding.code, finding.series, finding.message)
 

@@ -1,9 +1,10 @@
-"""The tracer: simulated Ethereal + nfsstat + vmstat in one object.
+"""The tracer: simulated Ethereal + nfsstat in one object.
 
 The paper's methodology is built on three observation tools — Ethereal
 packet captures on the wire, ``nfsstat`` per-op counters at the protocol
 layer, and ``vmstat`` utilization sampling on the hosts.  A
-:class:`Tracer` plays all three roles for a simulated run:
+:class:`Tracer` plays the first two roles for a simulated run (the
+vmstat role is :class:`~repro.obs.telemetry.Telemetry`'s sampler):
 
 * **packet trace** — every protocol message crossing the transport is
   recorded with direction, op, kind, sizes, and retransmission flag
@@ -15,16 +16,13 @@ layer, and ``vmstat`` utilization sampling on the hosts.  A
 * **point events** — cache hits/misses, journal commits, and similar
   instantaneous facts (:class:`PointEvent`);
 * **latency histograms** — every finished span feeds a fixed-bucket
-  :class:`LatencyHistogram` keyed by span name (p50/p95/p99 per op);
-* **utilization timelines** — registered probes (host CPUs, link bytes,
-  disk queue depth) are sampled on a fixed interval into
-  :class:`CounterSample` rows — the vmstat column of Tables 9/10 as a
-  time series.
+  :class:`LatencyHistogram` keyed by span name (p50/p95/p99 per op).
 
-The default tracer everywhere is :data:`NULL_TRACER`, a singleton whose
-``enabled`` attribute is ``False`` and whose methods do nothing.  Hot
-paths guard instrumentation with ``if tracer.enabled:`` so an untraced
-run executes the exact same event sequence as before the tracer existed.
+A tracer is attached as the simulator's ``tracer`` slot, which is
+``None`` on an untraced run.  Every hook site reads ``tracer =
+self.sim.tracer`` and guards with ``if tracer is not None:`` (simlint
+O301), so an untraced run executes the exact same event sequence as
+before the tracer existed.
 
 Causality rules
 ---------------
@@ -43,7 +41,7 @@ boundaries:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from ..sim import Simulator
 from ..sim.stats import LatencyHistogram
@@ -52,11 +50,8 @@ __all__ = [
     "Span",
     "PointEvent",
     "MessageEvent",
-    "CounterSample",
     "LatencyHistogram",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
 ]
 
 
@@ -133,93 +128,19 @@ class MessageEvent:
         return self.header_bytes + self.payload_bytes
 
 
-class CounterSample:
-    """One sampled utilization/queue value (a vmstat row)."""
-
-    __slots__ = ("t", "name", "track", "value")
-
-    def __init__(self, t: float, name: str, track: str, value: float):
-        self.t = t
-        self.name = name
-        self.track = track
-        self.value = value
-
-
-class NullTracer:
-    """The zero-overhead default: records nothing, always disabled.
-
-    Components hold a tracer unconditionally and guard instrumentation
-    with ``if tracer.enabled:``; with this singleton in place no code path
-    differs from an uninstrumented build.  ``__slots__`` is empty so the
-    singleton carries no per-instance dict and ``enabled`` resolves as a
-    plain class attribute — the no-op path is a single attribute load and
-    branch at every instrumentation site.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def begin_span(self, name: str, cat: str = "span", track: str = "client",
-                   parent: Optional[int] = None, **args: Any) -> None:
-        """No-op; returns ``None`` so ``end_span`` guards stay cheap."""
-        return None
-
-    def end_span(self, span: Optional[Span], **args: Any) -> None:
-        """No-op."""
-
-    def instant(self, name: str, cat: str = "event", track: str = "client",
-                **args: Any) -> None:
-        """No-op."""
-
-    def message(self, direction: str, msg: Any) -> None:
-        """No-op."""
-
-    def current_span_id(self) -> Optional[int]:
-        """No span context when tracing is off."""
-        return None
-
-    def wrap(self, name: str, gen: Generator, cat: str = "span",
-             track: str = "client", **args: Any) -> Generator:
-        """Run ``gen`` unchanged (no span recorded)."""
-        result = yield from gen
-        return result
-
-    def add_probe(self, name: str, fn: Callable[[], float],
-                  kind: str = "gauge", track: str = "client",
-                  scale: float = 1.0) -> None:
-        """No-op."""
-
-    def start_sampling(self, interval: float = 0.01) -> None:
-        """No-op."""
-
-
-NULL_TRACER = NullTracer()
-
-
-class Tracer(NullTracer):
+class Tracer:
     """The recording tracer (see module docstring for the data model)."""
-
-    enabled = True
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.spans: List[Span] = []          # finished spans, end order
         self.events: List[PointEvent] = []
         self.messages: List[MessageEvent] = []
-        self.samples: List[CounterSample] = []
         self.histograms: Dict[str, LatencyHistogram] = {}
         self._ids = itertools.count(1)
         self._stacks: Dict[Any, List[Span]] = {}    # process -> open spans
         self._tids: Dict[Any, int] = {}             # process -> lane id
         self.tid_names: Dict[int, str] = {0: "main"}
-        self._probes: List[Tuple[str, Callable[[], float], str, str, float]] = []
-        self._sampler = None
-        # Rate baselines live on the instance (not the sample loop) so a
-        # probe registered after sampling starts joins the next tick with
-        # a correct delta instead of being dropped or mis-read.
-        self._last: Dict[str, float] = {}
-        self._interval: Optional[float] = None
 
     # -- spans ---------------------------------------------------------------
 
@@ -305,71 +226,6 @@ class Tracer(NullTracer):
             msg.header_bytes, msg.payload_bytes, msg.xid,
             msg.is_retransmission, msg.span_id,
         ))
-
-    # -- utilization sampling ---------------------------------------------------
-
-    def add_probe(self, name: str, fn: Callable[[], float],
-                  kind: str = "gauge", track: str = "client",
-                  scale: float = 1.0) -> None:
-        """Register a sampled metric.
-
-        ``kind`` is ``"gauge"`` (record ``fn()`` as-is, e.g. queue depth),
-        ``"cumulative"`` (record the per-second rate of change of a
-        monotonically growing total, clamped at 0 so a window reset cannot
-        produce negative samples — utilization from busy-time counters),
-        or ``"rate"`` (like cumulative but without the 0..1 meaning, e.g.
-        link bytes/s).  ``scale`` multiplies the recorded value.
-
-        Probes may be registered before *or after* :meth:`start_sampling`:
-        a late probe is picked up on the next tick (its rate baseline is
-        seeded now), and if ``start_sampling`` ran before any probe
-        existed the sampler starts here.
-        """
-        if kind not in ("gauge", "cumulative", "rate"):
-            raise ValueError("unknown probe kind %r" % (kind,))
-        self._probes.append((name, fn, kind, track, scale))
-        if kind != "gauge":
-            self._last[name] = fn()
-        if self._sampler is None and self._interval is not None:
-            self._sampler = self.sim.spawn(
-                self._sample_loop(self._interval), name="tracer.sampler")
-
-    def start_sampling(self, interval: float = 0.01) -> None:
-        """Start sampling at ``interval`` (idempotent).
-
-        With no probes registered yet the request is remembered: the
-        sampler spawns as soon as the first probe arrives (historically
-        such probes were silently never sampled).
-        """
-        if self._sampler is not None:
-            return
-        self._interval = interval
-        if not self._probes:
-            return
-        self._sampler = self.sim.spawn(
-            self._sample_loop(interval), name="tracer.sampler")
-
-    def _sample_loop(self, interval: float) -> Generator:
-        last = self._last
-        for name, fn, kind, _track, _scale in self._probes:
-            if kind != "gauge" and name not in last:
-                last[name] = fn()
-        last_t = self.sim.now
-        while True:
-            yield self.sim.timeout(interval)
-            now = self.sim.now
-            dt = now - last_t
-            last_t = now
-            for name, fn, kind, track, scale in self._probes:
-                value = fn()
-                if kind != "gauge":
-                    previous = last.get(name, value)
-                    last[name] = value
-                    if dt <= 0:
-                        continue
-                    value = max(0.0, value - previous) / dt
-                self.samples.append(
-                    CounterSample(now, name, track, value * scale))
 
     # -- queries ------------------------------------------------------------------
 

@@ -56,6 +56,18 @@ call must never be handed to :meth:`Simulator.spawn`, which would do its
 work at spawn time instead of at the new process's first resume (wrap
 it in a small generator instead).
 
+Instruments
+-----------
+The simulator is the one attachment point for the opt-in instruments:
+its ``tracer``, ``telemetry``, ``recorder``, ``san`` and ``fault`` slots
+are ``None`` unless a run attaches one (see
+:class:`repro.core.comparison.StorageStack`).  Every component already
+holds the simulator, so a hook site reads ``x = self.sim.<slot>`` and
+guards with ``if x is not None:`` (simlint O301).  Instruments observe
+and never schedule on the hook path, so attaching one leaves the event
+sequence unchanged; the fault injector is the exception by design.  Of
+the five, only the recorder is a kernel hook: the per-record observer.
+
 Example
 -------
 >>> sim = Simulator()
@@ -366,7 +378,8 @@ class Simulator:
     """The event calendar, virtual clock, and process spawner."""
 
     __slots__ = ("now", "_calendar", "_sequence", "_unhandled",
-                 "_active_process", "recorder")
+                 "_active_process", "tracer", "telemetry", "recorder",
+                 "san", "fault")
 
     def __init__(self):
         self.now: float = 0.0
@@ -374,14 +387,17 @@ class Simulator:
         self._sequence = 0
         self._unhandled: List[Event] = []
         self._active_process: Optional["Process"] = None
-        # Opt-in per-record hook (repro.obs.explain.FlightRecorder, or any
-        # object with ``note_event(record)``).  _drain looks up its
-        # observer once per call through _observer(), which subclasses
-        # override to chain their own checks, so a hook attached while a
-        # run is in progress takes effect at the next run call.  Observers
-        # never schedule, so attaching one leaves the event sequence
-        # unchanged.
+        # The instruments (see the module docstring), None when off.
+        self.tracer: Optional[Any] = None       # repro.obs.tracer.Tracer
+        self.telemetry: Optional[Any] = None    # repro.obs.telemetry.Telemetry
+        # The flight recorder (or any object with ``note_event(record)``)
+        # is also the per-record hook: _drain looks up its observer once
+        # per call through _observer(), which subclasses override to chain
+        # their own checks, so a recorder attached while a run is in
+        # progress takes effect at the next run call.
         self.recorder: Optional[Any] = None
+        self.san: Optional[Any] = None          # repro.check.simsan.SimSan
+        self.fault: Optional[Any] = None        # repro.faults.FaultInjector
 
     # -- public API -----------------------------------------------------------
 

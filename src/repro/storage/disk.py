@@ -20,7 +20,6 @@ import math
 from typing import Generator
 
 from ..core.params import DiskParams
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Resource, Simulator
 from .blockdev import BlockDevice
 
@@ -36,7 +35,6 @@ class Disk(BlockDevice):
         params: DiskParams = None,
         nblocks: int = None,
         name: str = "disk",
-        tracer: NullTracer = None,
     ):
         self.params = params if params is not None else DiskParams()
         super().__init__(
@@ -44,7 +42,6 @@ class Disk(BlockDevice):
             name=name,
         )
         self.sim = sim
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.queue = Resource(sim, capacity=1, name=name + ".queue")
         self._head = 0  # block number just past the last access
         self.busy_time = 0.0
@@ -71,9 +68,10 @@ class Disk(BlockDevice):
     def _access(self, start: int, count: int, is_write: bool = False) -> Generator:
         self.check_range(start, count)
         span = None
-        if self.tracer.enabled:
+        tracer = self.sim.tracer
+        if tracer is not None:
             # Begun before queueing so the span length includes queue wait.
-            span = self.tracer.begin_span(
+            span = tracer.begin_span(
                 "disk." + ("write" if is_write else "read"),
                 cat="disk", track="server", dev=self.name,
                 start=start, count=count, qdepth=self.queue.queue_length,
@@ -92,7 +90,7 @@ class Disk(BlockDevice):
                 self.queue.release()
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
         return None
 
     # -- BlockDevice interface ---------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..core.params import DiskParams, RaidParams
-from ..obs.tracer import NULL_TRACER, NullTracer
 from ..sim import Process, Resource, Simulator
 from .blockdev import BlockDevice
 from .disk import Disk
@@ -42,15 +41,12 @@ class Raid5Volume(BlockDevice):
         parity_cpu_per_byte: float = 0.0,
         io_cpu: float = 0.0,
         name: str = "raid5",
-        tracer: Optional[NullTracer] = None,
     ):
         self.raid = raid_params if raid_params is not None else RaidParams()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         disk_params = disk_params if disk_params is not None else DiskParams()
         ndisks = self.raid.data_disks + 1
         self.disks: List[Disk] = [
-            Disk(sim, disk_params, name="%s.disk%d" % (name, i),
-                 tracer=self.tracer)
+            Disk(sim, disk_params, name="%s.disk%d" % (name, i))
             for i in range(ndisks)
         ]
         data_blocks = self.raid.data_disks * disk_params.capacity_blocks
@@ -122,16 +118,18 @@ class Raid5Volume(BlockDevice):
     def _spawn_io(self, generator: Generator) -> Process:
         """Spawn a per-disk job, carrying span parentage across processes."""
         job = self.sim.spawn(generator)
-        if self.tracer.enabled:
-            job.trace_parent = self.tracer.current_span_id()
+        tracer = self.sim.tracer
+        if tracer is not None:
+            job.trace_parent = tracer.current_span_id()
         return job
 
     def read(self, start: int, count: int = 1) -> Generator:
         """Coroutine: read ``count`` blocks, striped across the spindles."""
         self.check_range(start, count)
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "raid.read", cat="raid", track="server",
                 start=start, count=count, degraded=self._failed is not None,
             )
@@ -146,7 +144,7 @@ class Raid5Volume(BlockDevice):
             yield self.sim.all_of(jobs)
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
         self.stats.note_read(count)
         return None
 
@@ -154,8 +152,9 @@ class Raid5Volume(BlockDevice):
         """Coroutine: write ``count`` blocks (full-stripe or RMW path)."""
         self.check_range(start, count)
         span = None
-        if self.tracer.enabled:
-            span = self.tracer.begin_span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
                 "raid.write", cat="raid", track="server",
                 start=start, count=count,
                 full_stripe=self._row_span(start, count),
@@ -170,7 +169,7 @@ class Raid5Volume(BlockDevice):
                 yield from self._small_write(start, count)
         finally:
             if span is not None:
-                self.tracer.end_span(span)
+                tracer.end_span(span)
         self.stats.note_write(count)
         return None
 
@@ -283,8 +282,9 @@ class Raid5Volume(BlockDevice):
             )
         self._failed = disk
         self.disk_failures += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
                 "raid.disk-fail", cat="fault", track="server", disk=disk,
             )
 
@@ -318,8 +318,9 @@ class Raid5Volume(BlockDevice):
             self.rebuild_writes += 1
             at += length
         self._failed = None
-        if self.tracer.enabled:
-            self.tracer.instant(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
                 "raid.rebuilt", cat="fault", track="server",
                 disk=failed, blocks=total,
             )

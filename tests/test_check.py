@@ -8,6 +8,7 @@ sanitized run reports nothing and produces bit-identical results.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import os
@@ -23,7 +24,8 @@ from repro.check.simsan import (
 )
 from repro.cli import main
 from repro.core.comparison import make_stack
-from repro.net.message import Message
+from repro.core.params import TestbedParams
+from repro.net.message import REPLY, Message
 from repro.obs import bench
 
 
@@ -246,9 +248,9 @@ def test_o301_negative_guarded_and_end_span():
 
 
 def test_o302_flags_unguarded_telemetry_hook():
-    assert codes("self.telem.count('net.delivered')\n") == ["O302"]
-    assert codes("telem.observe('queue.depth', 4.0)\n") == ["O302"]
-    assert codes("self.telemetry.count('ops', 2.0)\n") == ["O302"]
+    assert codes("self.telem.count('net.delivered')\n") == ["O301"]
+    assert codes("telem.observe('queue.depth', 4.0)\n") == ["O301"]
+    assert codes("self.telemetry.count('ops', 2.0)\n") == ["O301"]
 
 
 def test_o302_negative_guarded():
@@ -266,15 +268,15 @@ def test_o302_negative_guarded():
 
 
 def test_o302_suppressed():
-    src = "self.telem.count('x')  # simlint: disable=O302\n"
+    src = "self.telem.count('x')  # simlint: disable=O301\n"
     assert codes(src) == []
 
 
 def test_o303_flags_unguarded_recorder_hook():
-    assert codes("self.recorder.note_event(record)\n") == ["O303"]
-    assert codes("recorder.note_message('c2s', msg)\n") == ["O303"]
+    assert codes("self.recorder.note_event(record)\n") == ["O301"]
+    assert codes("recorder.note_message('c2s', msg)\n") == ["O301"]
     assert codes("self.recorder.dump('T501', 'telemetry', 'msg')\n") \
-        == ["O303"]
+        == ["O301"]
 
 
 def test_o303_negative_guarded_and_foreign_receivers():
@@ -291,8 +293,24 @@ def test_o303_negative_guarded_and_foreign_receivers():
 
 
 def test_o303_suppressed():
-    src = "self.recorder.dump('S403', 'simsan', 'x')  # simlint: disable=O303\n"
+    src = "self.recorder.dump('S403', 'simsan', 'x')  # simlint: disable=O301\n"
     assert codes(src) == []
+
+
+def test_o301_covers_sanitizer_and_fault_hooks():
+    assert codes("self.sim.san.note_send(self, msg)\n") == ["O301"]
+    assert codes("fault.filter_message(msg, True)\n") == ["O301"]
+    src = ("san = self.sim.san\n"
+           "if san is not None:\n"
+           "    san.note_request_served(self, msg)\n"
+           "fault = self.sim.fault\n"
+           "if fault is not None:\n"
+           "    verdict = fault.filter_message(msg, True)\n")
+    assert codes(src) == []
+    # A guard on another instrument does not cover this one.
+    src = ("if tracer is not None:\n"
+           "    san.note_send(self, msg)\n")
+    assert codes(src) == ["O301"]
 
 
 # ------------------------------------------------------------ simlint: misc
@@ -300,8 +318,7 @@ def test_o303_suppressed():
 
 def test_rule_catalog_and_hints():
     assert set(simlint.RULES) == {
-        "D101", "D102", "D103", "D104", "P201", "P202", "P203",
-        "O301", "O302", "O303",
+        "D101", "D102", "D103", "D104", "P201", "P202", "P203", "O301",
     }
     violations = lint_source("import time\nt = time.time()\n")
     assert len(violations) == 1
@@ -581,13 +598,32 @@ def test_s403_event_order_violation_detected():
     assert any(f.code == "S403" for f in findings)
 
 
-def test_s404_lost_message_detected():
-    stack = make_stack("nfsv3", san=True)
-    stack.transport.send_from_client(Message("NULL"))
+def _mcs_stack(connections: int = 4, **kwargs):
+    """An iSCSI stack whose session runs over ``connections`` TCP links."""
+    params = TestbedParams()
+    params = dataclasses.replace(params, iscsi=dataclasses.replace(
+        params.iscsi, connections=connections))
+    return make_stack("iscsi", params=params, **kwargs)
+
+
+def _assert_lost_message_detected(stack, transport):
+    transport.send_from_client(Message("NULL"))
     stack.sim.run(until=stack.sim.now)   # truncate before the delivery fires
     findings = stack.check(strict=False)
     assert any(f.code == "S404" and "in flight" in f.message
                for f in findings)
+
+
+def test_s404_lost_message_detected():
+    stack = make_stack("nfsv3", san=True)
+    _assert_lost_message_detected(stack, stack.transport)
+
+
+def test_s404_lost_message_detected_on_an_mcs_connection():
+    # Connection 2 of a 4-connection MC/S session: every transport on the
+    # simulator reports to the sanitizer, not only the leading one.
+    stack = _mcs_stack(san=True)
+    _assert_lost_message_detected(stack, stack.mcs_transports[1])
 
 
 def test_s405_orphan_reply_detected():
@@ -595,10 +631,26 @@ def test_s405_orphan_reply_detected():
     stack.run(_tiny_workload(stack.client), name="tiny")
     stack.quiesce()
     peer = stack.rpc_peers()[0]
-    peer.san.note_orphan_reply(10 ** 9)   # an xid this peer never issued
+    # An xid this peer never issued.
+    stack.sanitizer.note_orphan_reply(peer, 10 ** 9)
     findings = stack.check(strict=False)
     assert any(f.code == "S405" and "never issued" in f.message
                for f in findings)
+
+
+def test_s405_orphan_reply_detected_on_an_mcs_connection():
+    # A reply nobody asked for arrives on connection 2 of a 4-connection
+    # MC/S session: the initiator peer there reports it.
+    stack = _mcs_stack(san=True)
+    stack.run(_tiny_workload(stack.client), name="tiny")
+    stack.quiesce()
+    stack.mcs_transports[1].send_from_server(
+        Message("SCSI_READ", kind=REPLY, xid=10 ** 9))
+    stack.sim.run(until=stack.sim.now + 0.01)
+    findings = stack.check(strict=False)
+    assert any(f.code == "S405" and f.message.startswith(
+        "iscsi.initiator.rpc.c2 received a reply for xid %d" % 10 ** 9)
+        for f in findings)
 
 
 def test_s405_orphan_reply_to_issued_xid_is_legitimate():
@@ -606,9 +658,29 @@ def test_s405_orphan_reply_to_issued_xid_is_legitimate():
     stack.run(_tiny_workload(stack.client), name="tiny")
     stack.quiesce()
     peer = stack.rpc_peers()[0]
-    issued = next(iter(peer.san.xids_issued))
-    peer.san.note_orphan_reply(issued)   # late reply to a retransmit
+    issued = next(iter(stack.sanitizer.peers[peer].xids_issued))
+    # A late reply to a retransmit.
+    stack.sanitizer.note_orphan_reply(peer, issued)
     assert stack.check() == []
+
+
+def test_mcs_randwrite_sanitizes_every_connection():
+    # Every connection's sends and both peers of every connection are
+    # checked, not only the leading connection's.
+    stack = _mcs_stack(san=True)
+    stack.run(bench.WORKLOADS["randwrite"](stack.client), name="randwrite")
+    stack.quiesce()
+    assert stack.check() == []
+    san = stack.sanitizer
+    transports = [stack.transport] + stack.mcs_transports
+    assert list(san.transports) == transports
+    # Without loss or faults every send is delivered to one inbox.
+    delivered = sum(t.client.inbox.total_put + t.server.inbox.total_put
+                    for t in transports)
+    counts = stack.snapshot()
+    assert sum(t.sent for t in san.transports.values()) == delivered \
+        == counts.requests + counts.replies + counts.retransmissions
+    assert len(san.peers) == 2 * len(transports)
 
 
 def test_s406_iscsi_task_set_detected():

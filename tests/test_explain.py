@@ -15,7 +15,7 @@ The engine's contracts, each asserted here:
 * the flight recorder — bounded rings, evidence dumps on forced S403
   and T501 findings, and byte-identical runs when attached.
 """
-# simlint: disable-file=O302,O303,D104 -- tests drive recorder/telemetry hooks directly and assert exact sim times
+# simlint: disable-file=O301,D104 -- tests drive recorder/telemetry hooks directly and assert exact sim times
 
 from __future__ import annotations
 
@@ -235,8 +235,7 @@ def test_forced_t501_ships_recorder_evidence():
 
     sim = Simulator()
     telemetry = Telemetry(sim)
-    recorder = FlightRecorder(sim)
-    telemetry.recorder = recorder
+    recorder = sim.recorder = FlightRecorder(sim)
     recorder.note_event((0.0, 0, 0, SimpleNamespace(name="seed")))
     telemetry.observe("disk.queue", 10.0)
     telemetry.tags["disk.queue"] = "queue"

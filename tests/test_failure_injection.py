@@ -225,7 +225,7 @@ def _injected_rpc_pair(sim, events, seed=3):
 
     server.set_handler(handler)
     plan = FaultPlan(events=tuple(events), seed=seed)
-    injector = FaultInjector(sim, plan, transport=transport)
+    injector = sim.fault = FaultInjector(sim, plan, transport=transport)
     injector.start()
     return transport, client, server, injector, executions
 

@@ -95,7 +95,7 @@ def test_resolve_plan_seed_override():
 def test_empty_plan_attaches_nothing():
     stack = make_stack("nfsv3", fault_plan=FaultPlan())
     assert stack.fault_injector is None
-    assert stack.transport.fault is None
+    assert stack.sim.fault is None
 
 
 # -- the paper's recovery contrast: UDP timers vs TCP stalls -------------------

@@ -374,14 +374,14 @@ def test_replayed_op_error_is_absorbed(syscall):
     # duplicate-request cache cannot answer: the op runs a second time
     # and fails, and the reply to the retry is marked a retransmission.
     fault = _OneShot(op, forward=False, verdict="drop")
-    stack.transport.fault = fault
+    stack.sim.fault = fault
     snap = stack.snapshot()
     stack.run(call(stack.client))
     delta = stack.delta(snap)
     assert fault.hits == 1
     assert delta.by_op[op] == 2
     assert delta.retransmissions == 1
-    stack.transport.fault = None
+    stack.sim.fault = None
     stack.make_cold()
     assert stack.run(stack.client.readdir("/")) == names
 
@@ -395,7 +395,7 @@ def test_same_error_on_first_transmission_raises(syscall):
     # (inside the retransmit timer) while the second completes.  When it
     # lands its error is real, not a replay artifact, and must surface.
     fault = _OneShot(op, forward=True, verdict="delay", extra=0.5)
-    stack.transport.fault = fault
+    stack.sim.fault = fault
     outcomes = []
 
     def attempt():
@@ -417,6 +417,6 @@ def test_same_error_on_first_transmission_raises(syscall):
     assert delta.by_op[op] == 2
     assert delta.retransmissions == 0
     assert outcomes == ["ok", "raised"]
-    stack.transport.fault = None
+    stack.sim.fault = None
     stack.make_cold()
     assert stack.run(stack.client.readdir("/")) == names

@@ -7,10 +7,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.comparison import make_stack
+from repro.core.params import TestbedParams
 from repro.obs import (
-    NULL_TRACER,
     LatencyHistogram,
-    NullTracer,
     Tracer,
     chrome_trace,
     format_op_summary,
@@ -22,28 +21,6 @@ from repro.sim import Simulator
 
 
 # ---------------------------------------------------------------- unit: tracer
-
-def test_null_tracer_is_disabled_and_inert():
-    assert NULL_TRACER.enabled is False
-    assert NULL_TRACER.begin_span("x") is None
-    NULL_TRACER.end_span(None)
-    NULL_TRACER.instant("x")
-    assert NULL_TRACER.current_span_id() is None
-
-
-def test_null_tracer_wrap_is_passthrough():
-    sim = Simulator()
-
-    def inner():
-        yield sim.timeout(1.0)
-        return 42
-
-    def outer():
-        result = yield from NULL_TRACER.wrap("x", inner())
-        return result
-
-    assert sim.run_process(outer()) == 42
-
 
 def test_spans_nest_within_a_process():
     sim = Simulator()
@@ -186,68 +163,6 @@ def test_latency_histogram_fraction_zero_returns_min():
     assert hist.percentile(0.0) == 0.002
 
 
-def test_probe_sampling_records_counter_samples():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    ticks = {"n": 0.0}
-    tracer.add_probe("gauge.x", lambda: ticks["n"], kind="gauge")
-    tracer.start_sampling(interval=1.0)
-
-    def work():
-        for _ in range(5):
-            ticks["n"] += 1.0
-            yield sim.timeout(1.0)
-
-    sim.run_process(work())
-    samples = [s for s in tracer.samples if s.name == "gauge.x"]
-    assert len(samples) >= 4
-    assert samples[-1].value > samples[0].value
-
-
-def test_probe_added_after_start_sampling_is_sampled():
-    # Regression: probes registered after start_sampling() used to be
-    # silently dropped (the sampler only saw the snapshot at start).
-    sim = Simulator()
-    tracer = Tracer(sim)
-    ticks = {"n": 0.0}
-    tracer.start_sampling(interval=1.0)
-    tracer.add_probe("late.gauge", lambda: ticks["n"], kind="gauge")
-    tracer.add_probe("late.rate", lambda: ticks["n"], kind="rate")
-
-    def work():
-        for _ in range(5):
-            ticks["n"] += 1.0
-            yield sim.timeout(1.0)
-
-    sim.run_process(work())
-    gauge = [s for s in tracer.samples if s.name == "late.gauge"]
-    rate = [s for s in tracer.samples if s.name == "late.rate"]
-    assert len(gauge) >= 4, "late-registered probe was never sampled"
-    assert gauge[-1].value > gauge[0].value
-    # The rate probe's baseline was seeded at registration, so the first
-    # sample reflects only growth since then (~1 tick/s), not a spike.
-    assert rate and max(s.value for s in rate) <= 2.0
-
-
-def test_start_sampling_before_any_probe_still_samples():
-    # start_sampling() with zero probes must remember the request and
-    # begin sampling once the first probe arrives.
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.start_sampling(interval=0.5)
-    assert tracer._sampler is None  # nothing to sample yet
-    ticks = {"n": 0.0}
-    tracer.add_probe("g", lambda: ticks["n"], kind="gauge")
-
-    def work():
-        for _ in range(4):
-            ticks["n"] += 1.0
-            yield sim.timeout(0.5)
-
-    sim.run_process(work())
-    assert [s for s in tracer.samples if s.name == "g"]
-
-
 # ------------------------------------------------------- stack-level tracing
 
 def _age(stack, seconds):
@@ -336,8 +251,8 @@ def test_traced_message_count_matches_transport_counters():
 
 def test_untraced_stack_exposes_raw_client_and_null_tracer():
     stack = make_stack("nfsv3")
-    assert isinstance(stack.tracer, NullTracer)
-    assert not stack.tracer.enabled
+    assert stack.tracer is None
+    assert stack.sim.tracer is None
     assert stack.client is stack.raw_client
 
 
@@ -458,6 +373,24 @@ def test_cli_trace_writes_valid_chrome_trace(tmp_path, capsys):
     assert [e for e in events if e["ph"] == "X"]
     assert [e for e in events if e["ph"] == "i"]
     assert "op " in capsys.readouterr().out
+    # The counter tracks come from the telemetry that rode along: host
+    # CPUs on the client (1) and server (2) tracks, the link on the wire
+    # (3), and one queue track per RAID member.
+    counters = {}
+    for event in events:
+        if event["ph"] == "C":
+            counters.setdefault(event["name"], set()).add(event["pid"])
+    queues = sorted(name for name in counters
+                    if name.startswith("server.disk")
+                    and name.endswith(".queue"))
+    assert queues == ["server.disk%02d.queue" % index
+                      for index in range(len(queues))]
+    assert len(queues) == TestbedParams().raid.data_disks + 1
+    expected = {"client.cpu.util": {1}, "server.cpu.util": {2},
+                "net.link.MBps": {3}}
+    expected.update((name, {2}) for name in queues)
+    assert {name: counters[name] for name in expected} == expected
+    assert {pid for pids in counters.values() for pid in pids} <= {1, 2, 3}
 
 
 def test_cli_trace_jsonl_and_tree(tmp_path, capsys):

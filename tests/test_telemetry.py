@@ -14,7 +14,7 @@ The contracts under test:
 * watchers — T501/T502/T503 fire on the pathologies they name, once per
   (code, series), and stay quiet on healthy runs.
 """
-# simlint: disable-file=O302 -- tests drive the telemetry collector directly
+# simlint: disable-file=O301 -- tests drive the telemetry collector directly
 
 from __future__ import annotations
 
@@ -214,6 +214,36 @@ def test_telemetry_samples_registered_series():
     # rate = d(value)/dt with value growing 2.0 per 0.5 s -> ~4.0/s.
     rate = snap["series"]["r"]["rollup"]
     assert rate["max"] == pytest.approx(4.0, rel=0.01)
+
+
+def test_series_added_after_start_is_sampled_from_the_next_tick():
+    # The sampler starts with no series; a gauge and a rate registered
+    # later are sampled from the next tick on, and the rate's baseline is
+    # seeded at registration, so its first sample shows only the growth
+    # since then (1 per tick), not the total accumulated before it.
+    sim = Simulator()
+    telem = Telemetry(sim, interval=1.0, window=1.0, capacity=16)
+    telem.start()
+    ticks = {"n": 0.0}
+
+    def grow(steps):
+        for _ in range(steps):
+            ticks["n"] += 1.0
+            yield sim.timeout(1.0)
+
+    sim.run_process(grow(3))
+    assert telem.samples == 3 and telem.series == {}
+    next_tick = int(sim.now) + 1
+    telem.add_series("late.gauge", lambda: ticks["n"], kind="gauge")
+    telem.add_series("late.rate", lambda: ticks["n"], kind="rate",
+                     tag="rate")
+    sim.run_process(grow(5))
+    gauge = telem.series["late.gauge"]
+    rate = telem.series["late.rate"]
+    assert gauge.start == rate.start == next_tick
+    assert gauge.counts == rate.counts == [1] * 5
+    assert gauge.sums == [4.0, 5.0, 6.0, 7.0, 8.0]
+    assert rate.sums == [1.0] * 5
 
 
 def test_telemetry_push_hooks_autocreate_series():
