@@ -909,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="N", help="shard counts to sweep (default: 1 4)")
     sc.add_argument("--executor", choices=EXECUTORS, default=None,
                     help="shard executor (default: fork on POSIX, "
-                         "else thread)")
+                         "else sequential)")
     sc.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="executor workers (default: one per shard, "
                          "capped at the CPU count)")

@@ -73,6 +73,152 @@ def placement_shard(shards: int, params: Optional[TestbedParams] = None,
         1, testbed.network.rtt / 2.0, san=san).shard(0)
 
 
+# -- the wiring both testbeds share --------------------------------------------
+# StorageStack (the paper's one-client testbed) and SharedNfsTestbed
+# (repro.core.multiclient: several live clients on shared exports) build
+# their machines, connections and protocol endpoints through the
+# constructors below.  Callers pass placement (the host each side runs
+# on, which carries its simulator or shard and its CPU), names, and the
+# values where the two topologies really differ; the constructors decide
+# the rest once: CPU cost sums, retransmission, reliability, trace tracks.
+#
+# Ext3Fs, RpcPeer and NfsClient start simulator processes when built, so
+# the order of these calls fixes the calendar ``seq`` of each process's
+# first record: every caller keeps its construction order.
+
+
+def _server_machine(sim: Simulator, params: TestbedParams, suffix: str = "",
+                    exports: bool = True):
+    """A server machine: host, RAID-5 array and, if it exports files, ext3.
+
+    Returns ``(host, raid, fs)``; ``fs`` is ``None`` for a block server.
+    """
+    cpu = params.cpu
+    host = Host(sim, cpu.server_cpus, "server" + suffix)
+    raid = Raid5Volume(
+        sim,
+        raid_params=params.raid,
+        disk_params=params.disk,
+        cpu=host.cpu,
+        parity_cpu_per_byte=cpu.raid_parity_per_byte,
+        io_cpu=cpu.disk_io_issue,
+        name="array" + suffix,
+    )
+    fs = None
+    if exports:
+        fs = Ext3Fs(
+            sim,
+            raid,
+            cache_bytes=params.cache.server_cache_bytes,
+            params=params.ext3,
+            cpu=host.cpu,
+            cpu_params=cpu,
+            readahead_blocks=8,
+            testbed=params,
+            name="server%s-ext3" % suffix,
+        )
+    return host, raid, fs
+
+
+def _transport(link: Link, counters: MessageCounters, protocol: str,
+               params: TestbedParams, name: str) -> DuplexTransport:
+    """One connection over ``link``: iSCSI always rides TCP, NFS rides
+    its mount's transport (over UDP a message can be lost)."""
+    return DuplexTransport(
+        link.sim, link, counters=counters,
+        reliable=protocol == "iscsi" or params.nfs.transport != "udp",
+        name=name,
+    )
+
+
+def _peer_pair(protocol: str, transport: Any, server_host: Host,
+               client_host: Host, params: TestbedParams, names):
+    """One connection's RPC peers, server side first.
+
+    ``protocol`` (``"nfs"`` or ``"iscsi"``) and the side make each peer's
+    role, and the role decides its transport endpoint, trace track and
+    per-message CPU cost: the network stack, plus for NFS the Sun RPC
+    layer and on the server the NFS layer (the SCSI layers charge per
+    command).  The NFS client alone retransmits.  ``names`` is
+    ``(server peer, client peer)``.
+    """
+    cpu = params.cpu
+    nfs = params.nfs
+    sides = (
+        (server_host, transport.server, transport.send_from_server, "server"),
+        (client_host, transport.client, transport.send_from_client, "client"),
+    )
+    peers = []
+    for (host, endpoint, send, track), name in zip(sides, names):
+        per_message = cpu.net_per_message
+        retransmit = None
+        if protocol == "nfs":
+            per_message += cpu.rpc_layer
+            if track == "server":
+                per_message += cpu.nfs_server_layer
+            else:
+                retransmit = RetransmitPolicy(
+                    timeout=nfs.rpc_timeout,
+                    backoff=nfs.rpc_timeout_backoff,
+                    max_retries=nfs.rpc_max_retries,
+                    reset_connection=nfs.transport == "tcp",
+                )
+        peers.append(RpcPeer(
+            host.sim, endpoint, send,
+            cpu=host.cpu,
+            per_message_cpu=per_message,
+            per_byte_cpu=cpu.copy_per_byte,
+            retransmit=retransmit,
+            name=name,
+            track=track,
+        ))
+    return peers
+
+
+def _nfs_endpoints(transport: Any, server_host: Host, fs: Ext3Fs,
+                   client_host: Host, params: TestbedParams, names,
+                   readahead_pages: int, state=None,
+                   client_id: str = "client0"):
+    """Export ``fs`` to one client over ``transport``.
+
+    Returns ``(NfsServer, NfsClient)``.  ``names`` is ``(server peer,
+    server, client peer, client)``; ``state`` is the delegation and
+    cache state a server's frontends share (``None``: a fresh one).
+    """
+    server_rpc_name, server_name, client_rpc_name, client_name = names
+    server_rpc, client_rpc = _peer_pair(
+        "nfs", transport, server_host, client_host, params,
+        (server_rpc_name, client_rpc_name))
+    server = NfsServer(server_host.sim, fs, server_rpc, params=params.nfs,
+                       cpu_params=params.cpu, state=state, name=server_name)
+    client = NfsClient(
+        client_host.sim, client_rpc, params=params.nfs,
+        cache_params=params.cache, cpu_params=params.cpu,
+        readahead_pages=readahead_pages, name=client_name,
+        client_id=client_id,
+    )
+    return server, client
+
+
+def _iscsi_endpoints(transport: Any, server_host: Host, raid: Raid5Volume,
+                     target: Optional[IscsiTarget], client_host: Host,
+                     params: TestbedParams, names):
+    """One iSCSI connection: ``(target, initiator peer)``.
+
+    The first connection (``target=None``) builds the target over
+    ``raid``; each further MC/S connection joins it.  ``names`` is
+    ``(target peer, initiator peer)``.
+    """
+    target_rpc, initiator_rpc = _peer_pair(
+        "iscsi", transport, server_host, client_host, params, names)
+    if target is None:
+        target = IscsiTarget(server_host.sim, raid, target_rpc,
+                             cpu=server_host.cpu, cpu_params=params.cpu)
+    else:
+        target.add_connection(target_rpc)
+    return target, initiator_rpc
+
+
 class StorageStack:
     """A fully wired client/server testbed for one protocol stack."""
 
@@ -110,31 +256,23 @@ class StorageStack:
             self.sim = CheckedSimulator()
         else:
             self.sim = Simulator()
-        cpu = self.params.cpu
-        self.client_host = Host(self.sim, cpu.client_cpus, "client")
-        self.server_host = Host(self.sim, cpu.server_cpus, "server")
+        self.client_host = Host(self.sim, self.params.cpu.client_cpus, "client")
+        # An iSCSI target serves the raw array; an NFS server exports ext3.
+        self.server_host, self.raid, self.fs = _server_machine(
+            self.sim, self.params, exports=kind != "iscsi")
         self.link = Link(
             self.sim,
             rtt=self.params.network.rtt,
             bandwidth=self.params.network.bandwidth,
         )
         self.counters = MessageCounters()
-        self.transport = DuplexTransport(
-            self.sim,
-            self.link,
-            counters=self.counters,
-            reliable=self.params.nfs.transport != "udp" or kind == "iscsi",
-            name=kind,
-        )
-        self.raid = Raid5Volume(
-            self.sim,
-            raid_params=self.params.raid,
-            disk_params=self.params.disk,
-            cpu=self.server_host.cpu,
-            parity_cpu_per_byte=cpu.raid_parity_per_byte,
-            io_cpu=cpu.disk_io_issue,
-            name="array",
-        )
+        self.transport = _transport(
+            self.link, self.counters,
+            "iscsi" if kind == "iscsi" else "nfs", self.params, kind)
+        # The other protocol's endpoints stay None.
+        self.server = self.nfs_client = None
+        self.target = self.initiator = self.session = None
+        self.mcs_transports = []
         if kind == "iscsi":
             self._build_iscsi()
         else:
@@ -224,81 +362,38 @@ class StorageStack:
         return replace(params, nfs=nfs)
 
     def _build_iscsi(self) -> None:
-        cpu = self.params.cpu
         iscsi = self.params.iscsi
         if iscsi.connections < 1:
             raise ValueError("iscsi connections must be >= 1 (got %d)"
                              % (iscsi.connections,))
-        target_rpc = RpcPeer(
-            self.sim,
-            self.transport.server,
-            self.transport.send_from_server,
-            cpu=self.server_host.cpu,
-            per_message_cpu=cpu.net_per_message,
-            per_byte_cpu=cpu.copy_per_byte,
-            name="iscsi.target.rpc",
-            track="server",
-        )
-        self.target = IscsiTarget(
-            self.sim, self.raid, target_rpc,
-            cpu=self.server_host.cpu, cpu_params=cpu,
-        )
-        initiator_rpc = RpcPeer(
-            self.sim,
-            self.transport.client,
-            self.transport.send_from_client,
-            cpu=self.client_host.cpu,
-            per_message_cpu=cpu.net_per_message,
-            per_byte_cpu=cpu.copy_per_byte,
-            name="iscsi.initiator.rpc",
-            track="client",
-        )
         # MC/S (repro.iscsi.mcs): extra TCP connections share the one
         # physical link (and the stack's message counters) but get their
         # own transport endpoints and RPC peers per side.  connections=1
         # builds nothing extra, keeping the original wiring (and every
         # committed output) byte-identical.
-        self.session = None
-        self.mcs_transports = []
-        initiator_rpcs = [initiator_rpc]
-        for conn in range(1, iscsi.connections):
-            transport = DuplexTransport(
-                self.sim,
-                self.link,
-                counters=self.counters,
-                reliable=True,
-                name="%s.mcs%d" % (self.kind, conn),
-            )
-            self.mcs_transports.append(transport)
-            conn_target_rpc = RpcPeer(
-                self.sim,
-                transport.server,
-                transport.send_from_server,
-                cpu=self.server_host.cpu,
-                per_message_cpu=cpu.net_per_message,
-                per_byte_cpu=cpu.copy_per_byte,
-                name="iscsi.target.rpc.c%d" % conn,
-                track="server",
-            )
-            self.target.add_connection(conn_target_rpc)
-            initiator_rpcs.append(RpcPeer(
-                self.sim,
-                transport.client,
-                transport.send_from_client,
-                cpu=self.client_host.cpu,
-                per_message_cpu=cpu.net_per_message,
-                per_byte_cpu=cpu.copy_per_byte,
-                name="iscsi.initiator.rpc.c%d" % conn,
-                track="client",
-            ))
+        initiator_rpcs = []
+        for conn in range(iscsi.connections):
+            transport, suffix = self.transport, ""
+            if conn:
+                transport = _transport(self.link, self.counters, "iscsi",
+                                       self.params,
+                                       "%s.mcs%d" % (self.kind, conn))
+                self.mcs_transports.append(transport)
+                suffix = ".c%d" % conn
+            self.target, initiator_rpc = _iscsi_endpoints(
+                transport, self.server_host, self.raid, self.target,
+                self.client_host, self.params,
+                names=("iscsi.target.rpc" + suffix,
+                       "iscsi.initiator.rpc" + suffix))
+            initiator_rpcs.append(initiator_rpc)
         if iscsi.connections > 1:
             from ..iscsi.mcs import McsSession
             self.session = McsSession(self.sim, initiator_rpcs,
                                       policy=iscsi.mcs_policy)
+        cpu = self.params.cpu
         self.initiator = IscsiInitiator(
-            self.sim, initiator_rpc, nblocks=self.raid.nblocks,
-            params=self.params.iscsi,
-            cpu=self.client_host.cpu, cpu_params=cpu,
+            self.sim, initiator_rpcs[0], nblocks=self.raid.nblocks,
+            params=iscsi, cpu=self.client_host.cpu, cpu_params=cpu,
             session=self.session,
         )
         self.fs = Ext3Fs(
@@ -308,76 +403,21 @@ class StorageStack:
             params=self.params.ext3,
             cpu=self.client_host.cpu,
             cpu_params=cpu,
-            max_coalesced_write=self.params.iscsi.max_coalesced_write,
+            max_coalesced_write=iscsi.max_coalesced_write,
             readahead_blocks=8,
             testbed=self.params,
             name="client-ext3",
             track="client",
         )
         self.client = Vfs(self.fs)
-        self.server = None
-        self.nfs_client = None
 
     def _build_nfs(self) -> None:
-        cpu = self.params.cpu
-        nfs = self.params.nfs
-        self.fs = Ext3Fs(
-            self.sim,
-            self.raid,
-            cache_bytes=self.params.cache.server_cache_bytes,
-            params=self.params.ext3,
-            cpu=self.server_host.cpu,
-            cpu_params=cpu,
-            readahead_blocks=8,
-            testbed=self.params,
-            name="server-ext3",
-            track="server",
-        )
-        server_rpc = RpcPeer(
-            self.sim,
-            self.transport.server,
-            self.transport.send_from_server,
-            cpu=self.server_host.cpu,
-            per_message_cpu=(
-                cpu.net_per_message + cpu.rpc_layer + cpu.nfs_server_layer
-            ),
-            per_byte_cpu=cpu.copy_per_byte,
-            name="nfsd.rpc",
-            track="server",
-        )
-        self.server = NfsServer(
-            self.sim, self.fs, server_rpc, params=nfs, cpu_params=cpu,
-        )
-        retransmit = RetransmitPolicy(
-            timeout=nfs.rpc_timeout,
-            backoff=nfs.rpc_timeout_backoff,
-            max_retries=nfs.rpc_max_retries,
-            reset_connection=nfs.transport == "tcp",
-        )
-        client_rpc = RpcPeer(
-            self.sim,
-            self.transport.client,
-            self.transport.send_from_client,
-            cpu=self.client_host.cpu,
-            per_message_cpu=cpu.net_per_message + cpu.rpc_layer,
-            per_byte_cpu=cpu.copy_per_byte,
-            retransmit=retransmit,
-            name="nfs.client.rpc",
-            track="client",
-        )
-        self.nfs_client = NfsClient(
-            self.sim,
-            client_rpc,
-            params=nfs,
-            cache_params=self.params.cache,
-            cpu_params=cpu,
-            readahead_pages=4,
-        )
+        self.server, self.nfs_client = _nfs_endpoints(
+            self.transport, self.server_host, self.fs, self.client_host,
+            self.params,
+            names=("nfsd.rpc", "nfsd", "nfs.client.rpc", "nfs-client"),
+            readahead_pages=4)
         self.client = self.nfs_client
-        self.target = None
-        self.initiator = None
-        self.session = None
-        self.mcs_transports = []
 
     def _register_telemetry(self) -> None:
         """Register every tier of the testbed on the telemetry collector.
@@ -441,12 +481,16 @@ class StorageStack:
             lambda: float(raid.degraded_reads + raid.degraded_writes
                           + raid.rebuild_writes),
             kind="cumulative", tag="rate")
-        caller, server_peer = self.rpc_peers()
+        # Summed over every connection (an MC/S session has several).
+        peers = self.rpc_peers()
+        callers, servers = peers[0::2], peers[1::2]
         telem.add_series("client.rpc.calls_s",
-                         counter_probe(caller, "calls_issued"),
+                         lambda: float(sum(peer.calls_issued
+                                           for peer in callers)),
                          kind="cumulative", tag="rate")
         telem.add_series("server.rpc.served_s",
-                         counter_probe(server_peer, "calls_served"),
+                         lambda: float(sum(peer.calls_served
+                                           for peer in servers)),
                          kind="cumulative", tag="rate")
         if self.kind == "iscsi":
             initiator = self.initiator
@@ -539,9 +583,16 @@ class StorageStack:
         return out
 
     def rpc_peers(self):
-        """Both RPC peers of the stack (caller and server side)."""
+        """Every RPC peer of the stack, connection by connection.
+
+        Each connection's caller comes before its server side, so
+        ``rpc_peers()[0]`` is the leading connection's caller.
+        """
         if self.kind == "iscsi":
-            return [self.initiator.rpc, self.target.rpc]
+            callers = (self.session.rpcs if self.session is not None
+                       else [self.initiator.rpc])
+            return [peer for pair in zip(callers, self.target.connections)
+                    for peer in pair]
         return [self.nfs_client.rpc, self.server.rpc]
 
     def check(self, strict: bool = True):

@@ -29,7 +29,11 @@ Two axes of scale:
   phases (:meth:`SharedNfsTestbed.run_phase`); the phase API works
   identically in the unsharded case, where it spawns everything on the
   one flat calendar, so the same driver code can be compared across
-  shardings.
+  shardings.  The bed reads client and server state in the driving
+  process, so its windows always run on the ``sequential`` executor.
+
+Machines, connections and NFS endpoints are built by the constructors
+:class:`~repro.core.comparison.StorageStack` uses.
 """
 
 from __future__ import annotations
@@ -39,14 +43,14 @@ from typing import Any, Callable, Generator, List, Optional
 from ..client.host import Host
 from ..fs.ext3 import Ext3Fs
 from ..net.link import Link
-from ..net.rpc import RetransmitPolicy, RpcPeer
-from ..net.transport import DuplexTransport, ShardedTransport
+from ..net.transport import ShardedTransport
 from ..nfs.client import NfsClient
 from ..nfs.pnfs import StripeLayout, StripedNfsClient
 from ..nfs.server import NfsServer, ServerState
 from ..sim import Simulator
 from ..storage.raid import Raid5Volume
-from .comparison import StorageStack
+from .comparison import (StorageStack, _nfs_endpoints, _server_machine,
+                         _transport)
 from .counters import MessageCounters
 from .params import TestbedParams
 
@@ -102,8 +106,6 @@ class SharedNfsTestbed:
         params: Optional[TestbedParams] = None,
         nservers: int = 1,
         shards: int = 1,
-        executor: str = "thread",
-        jobs: Optional[int] = None,
         striped: bool = False,
     ):
         if kind == "iscsi":
@@ -136,22 +138,16 @@ class SharedNfsTestbed:
                     "UDP mode mutates deliveries in flight, which the "
                     "conservative window protocol does not model"
                 )
-            if executor == "fork":
-                raise ValueError(
-                    "the sharded testbed reads client/server state in the "
-                    "driving process, so it supports the in-process "
-                    "executors ('sequential', 'thread'); use "
-                    "repro.sim.perf.run_shard_storm for fork-executor runs"
-                )
             from ..sim.shard import ShardedSimulator
 
             # Lookahead = the minimum cross-shard link latency.  Every
             # transport here uses the testbed's one network config, so
             # that minimum is simply rtt/2; a zero-RTT network is
             # rejected by ShardedSimulator (no conservative window).
+            # The bed reads client and server state in the driving
+            # process, so its windows run on the sequential executor.
             self.sharded: Optional[ShardedSimulator] = ShardedSimulator(
-                shards, self.params.network.rtt / 2.0,
-                executor=executor, jobs=jobs)
+                shards, self.params.network.rtt / 2.0)
             self.sim = None
         else:
             self.sharded = None
@@ -217,30 +213,9 @@ class SharedNfsTestbed:
     # -- construction ----------------------------------------------------------
 
     def _add_server(self, index: int) -> None:
-        cpu = self.params.cpu
-        sim = self._server_sim(index)
         suffix = "" if self.nservers == 1 else "%d" % index
-        host = Host(sim, cpu.server_cpus, "server" + suffix)
-        raid = Raid5Volume(
-            sim,
-            raid_params=self.params.raid,
-            disk_params=self.params.disk,
-            cpu=host.cpu,
-            parity_cpu_per_byte=cpu.raid_parity_per_byte,
-            io_cpu=cpu.disk_io_issue,
-            name="array" + suffix,
-        )
-        fs = Ext3Fs(
-            sim,
-            raid,
-            cache_bytes=self.params.cache.server_cache_bytes,
-            params=self.params.ext3,
-            cpu=host.cpu,
-            cpu_params=cpu,
-            readahead_blocks=8,
-            testbed=self.params,
-            name="server%s-ext3" % suffix,
-        )
+        host, raid, fs = _server_machine(
+            self._server_sim(index), self.params, suffix)
         self.server_hosts.append(host)
         self.raids.append(raid)
         self.filesystems.append(fs)
@@ -280,63 +255,32 @@ class SharedNfsTestbed:
         classic single-mount path passes the empty suffix, keeping every
         endpoint name (and the event sequence) exactly as before.
         """
-        cpu = self.params.cpu
-        nfs = self.params.nfs
-        server_host = self.server_hosts[server_index]
-        client_sim = self._client_sim(index)
+        name = "%s.c%d%s" % (self.kind, index, suffix)
         if self.sharded is None:
             link = Link(self.sim, rtt=self.params.network.rtt,
                         bandwidth=self.params.network.bandwidth)
             counters: Any = MessageCounters()
-            transport: Any = DuplexTransport(
-                self.sim, link, counters=counters,
-                reliable=nfs.transport != "udp",
-                name="%s.c%d%s" % (self.kind, index, suffix),
-            )
-            server_sim = self.sim
+            transport: Any = _transport(link, counters, "nfs", self.params,
+                                        name)
         else:
             transport = ShardedTransport(
                 self.sharded.shard(self.client_shard_index(index)),
                 self.sharded.shard(self.server_shard_index(server_index)),
                 rtt=self.params.network.rtt,
                 bandwidth=self.params.network.bandwidth,
-                name="%s.c%d%s" % (self.kind, index, suffix),
+                name=name,
             )
             counters = _MergedCounters(transport)
-            server_sim = self._server_sim(server_index)
-        server_rpc = RpcPeer(
-            server_sim, transport.server, transport.send_from_server,
-            cpu=server_host.cpu,
-            per_message_cpu=(cpu.net_per_message + cpu.rpc_layer
-                             + cpu.nfs_server_layer),
-            per_byte_cpu=cpu.copy_per_byte,
-            name="nfsd.c%d%s" % (index, suffix),
-        )
         # All frontends of one server share its filesystem, its
         # delegation/cache state, and its per-inode write locks.
-        server = NfsServer(server_sim, self.filesystems[server_index],
-                           server_rpc, params=nfs,
-                           cpu_params=cpu, state=self.states[server_index],
-                           name="nfsd.c%d%s" % (index, suffix))
-        client_rpc = RpcPeer(
-            client_sim, transport.client, transport.send_from_client,
-            cpu=host.cpu,
-            per_message_cpu=cpu.net_per_message + cpu.rpc_layer,
-            per_byte_cpu=cpu.copy_per_byte,
-            retransmit=RetransmitPolicy(
-                timeout=nfs.rpc_timeout,
-                backoff=nfs.rpc_timeout_backoff,
-                max_retries=nfs.rpc_max_retries,
-                reset_connection=nfs.transport == "tcp",
-            ),
-            name="nfs.c%d%s" % (index, suffix),
-        )
-        client = NfsClient(
-            client_sim, client_rpc, params=nfs,
-            cache_params=self.params.cache, cpu_params=cpu,
-            name="nfs-client%d%s" % (index, suffix),
-            client_id="client%d" % index,
-        )
+        tag = "c%d%s" % (index, suffix)
+        server, client = _nfs_endpoints(
+            transport, self.server_hosts[server_index],
+            self.filesystems[server_index], host, self.params,
+            names=("nfsd." + tag, "nfsd." + tag, "nfs." + tag,
+                   "nfs-client%d%s" % (index, suffix)),
+            readahead_pages=2, state=self.states[server_index],
+            client_id="client%d" % index)
         return client, counters, server
 
     # -- driving -----------------------------------------------------------------

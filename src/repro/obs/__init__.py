@@ -46,115 +46,42 @@ streaming collector as ``stack.telemetry`` and
 ``stack.recorder``.  Every instrument hangs off one attachment point,
 the simulator slot of the same name (``sim.tracer``,
 ``sim.telemetry``, ``sim.recorder``), which is ``None`` when off.
+
+The names below resolve lazily (PEP 562), so ``import repro`` loads
+only the tracer and the syscall proxy that every stack needs; the
+analysis, benchmark and dashboard modules load on first use.
 """
 
-from .bench import (
-    SUITES,
-    WORKLOADS,
-    compare,
-    format_compare,
-    format_compare_json,
-    load_bench,
-    run_case,
-    run_suite,
-    write_bench,
-)
-from .dashboard import render_dashboard, render_html, write_html
-from .explain import (
-    FlightRecorder,
-    explain_runs,
-    format_explain,
-    format_explain_json,
-    op_drift,
-    render_explain_html,
-    render_timeline_diff,
-    run_side,
-    side_from_bench,
-    write_explain_html,
-)
-from .telemetry import (
-    Heartbeat,
-    SeriesRollup,
-    Telemetry,
-    TelemetryFinding,
-    merge_rollups,
-    merge_snapshots,
-)
-from .export import (
-    chrome_trace,
-    format_op_summary,
-    op_summary,
-    packet_trace_lines,
-    render_span_tree,
-    write_chrome_trace,
-    write_packet_trace,
-)
-from .profile import (
-    LayerStat,
-    PathSegment,
-    Profile,
-    format_attribution,
-    format_critical_path,
-    format_resource_report,
-    resource_report,
-)
-from .proxy import SYSCALL_NAMES, TracedClient
-from .tracer import (
-    LatencyHistogram,
-    MessageEvent,
-    PointEvent,
-    Span,
-    Tracer,
-)
+import importlib
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "PointEvent",
-    "MessageEvent",
-    "LatencyHistogram",
-    "TracedClient",
-    "SYSCALL_NAMES",
-    "chrome_trace",
-    "write_chrome_trace",
-    "packet_trace_lines",
-    "write_packet_trace",
-    "op_summary",
-    "format_op_summary",
-    "render_span_tree",
-    "render_timeline_diff",
-    "Profile",
-    "PathSegment",
-    "LayerStat",
-    "format_attribution",
-    "format_critical_path",
-    "resource_report",
-    "format_resource_report",
-    "SUITES",
-    "WORKLOADS",
-    "run_case",
-    "run_suite",
-    "write_bench",
-    "load_bench",
-    "compare",
-    "format_compare",
-    "format_compare_json",
-    "FlightRecorder",
-    "op_drift",
-    "run_side",
-    "side_from_bench",
-    "explain_runs",
-    "format_explain",
-    "format_explain_json",
-    "render_explain_html",
-    "write_explain_html",
-    "Telemetry",
-    "TelemetryFinding",
-    "SeriesRollup",
-    "Heartbeat",
-    "merge_rollups",
-    "merge_snapshots",
-    "render_dashboard",
-    "render_html",
-    "write_html",
-]
+# Submodule -> the names it exports here.
+_SOURCES = {
+    "tracer": ("LatencyHistogram", "MessageEvent", "PointEvent", "Span",
+               "Tracer"),
+    "proxy": ("SYSCALL_NAMES", "TracedClient"),
+    "export": ("chrome_trace", "format_op_summary", "op_summary",
+               "packet_trace_lines", "render_span_tree",
+               "write_chrome_trace", "write_packet_trace"),
+    "profile": ("LayerStat", "PathSegment", "Profile", "format_attribution",
+                "format_critical_path", "format_resource_report",
+                "resource_report"),
+    "bench": ("SUITES", "WORKLOADS", "compare", "format_compare",
+              "format_compare_json", "load_bench", "run_case", "run_suite",
+              "write_bench"),
+    "explain": ("FlightRecorder", "explain_runs", "format_explain",
+                "format_explain_json", "op_drift", "render_explain_html",
+                "render_timeline_diff", "run_side", "side_from_bench",
+                "write_explain_html"),
+    "telemetry": ("Heartbeat", "SeriesRollup", "Telemetry",
+                  "TelemetryFinding", "merge_rollups", "merge_snapshots"),
+    "dashboard": ("render_dashboard", "render_html", "write_html"),
+}
+_LAZY = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = list(_LAZY)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)

@@ -21,8 +21,8 @@ A sharded run is a pure function of its configuration:
   ``(when, src_shard, src_seq)`` order, so destination-side ``seq``
   assignment — and therefore the equal-``when`` tie-break — is
   identical no matter which executor ran the window or how many
-  workers it used (``sequential``, ``thread``, and ``fork`` executors
-  all produce the same event sequence);
+  workers it used (the ``sequential`` and ``fork`` executors produce
+  the same event sequence);
 * with one shard there is no cross-shard traffic at all and the run is
   byte-identical to the plain kernel (the windowed loop pops the same
   records in the same order; windows never schedule anything).
@@ -66,14 +66,14 @@ __all__ = [
     "default_parallel_executor",
 ]
 
-EXECUTORS = ("sequential", "thread", "fork")
+EXECUTORS = ("sequential", "fork")
 
 
 def default_parallel_executor() -> str:
-    """``"fork"`` where the platform offers it (POSIX), else ``"thread"``."""
+    """``"fork"`` where the platform offers it (POSIX), else ``"sequential"``."""
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
-    return "thread"
+    return "sequential"
 
 
 class ShardMessage:
@@ -226,7 +226,7 @@ class Shard:
 
 
 # -- executors ----------------------------------------------------------------
-# All three drive the same Shard._step; they differ only in *where* it
+# Both drive the same Shard._step; they differ only in *where* it
 # runs.  Responses always come back in shard-id order, so the driver's
 # merge is executor-independent.
 
@@ -246,34 +246,6 @@ class _SequentialExecutor:
 
     def close(self) -> None:
         pass
-
-
-class _ThreadExecutor:
-    """One window per shard on a thread pool.
-
-    GIL-bound for pure-Python event loops (no wall-clock speedup), but
-    it exercises the exact synchronization structure of the fork
-    executor with zero pickling constraints, which makes it the default
-    for in-process consumers like the sharded testbed.
-    """
-
-    def __init__(self, shards: List[Shard], jobs: Optional[int] = None):
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = len(shards) if jobs is None else max(1, min(jobs, len(shards)))
-        self._shards = shards
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-
-    def step_all(self, items):
-        futures = [self._pool.submit(shard._step, *item)
-                   for shard, item in zip(self._shards, items)]
-        return [future.result() for future in futures]
-
-    def collect(self):
-        return [shard._collect() for shard in self._shards]
-
-    def close(self) -> None:
-        self._pool.shutdown()
 
 
 def _fork_worker_main(shards: List[Shard], conn) -> None:
@@ -380,7 +352,6 @@ class _ForkExecutor:
 
 _EXECUTOR_CLASSES = {
     "sequential": _SequentialExecutor,
-    "thread": _ThreadExecutor,
     "fork": _ForkExecutor,
 }
 

@@ -201,7 +201,7 @@ def test_cli_scale_reference_matches_shards1(capsys, tmp_path):
     assert "completed=" in reference
     out_file = tmp_path / "BENCH_scale.json"
     assert main(argv + ["--shards", "1", "2", "--repeat", "1",
-                        "--executor", "thread",
+                        "--executor", "sequential",
                         "--out", str(out_file)]) == 0
     assert capsys.readouterr().out == reference
 

@@ -48,9 +48,9 @@ def test_farm_outcome_is_partition_invariant(protocol):
     reference = _invariant(run_farm(nshards=0, **kwargs))
     assert _invariant(run_farm(nshards=1, executor="sequential",
                                **kwargs)) == reference
-    assert _invariant(run_farm(nshards=2, executor="thread",
+    assert _invariant(run_farm(nshards=2, executor="sequential",
                                **kwargs)) == reference
-    assert _invariant(run_farm(nshards=3, executor="thread", jobs=2,
+    assert _invariant(run_farm(nshards=3, executor="fork", jobs=2,
                                **kwargs)) == reference
 
 

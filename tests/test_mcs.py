@@ -8,6 +8,7 @@ from repro.core import make_stack
 from repro.core.params import TestbedParams
 from repro.faults.plan import resolve_plan
 from repro.iscsi.mcs import MCS_POLICIES, McsSession
+from repro.obs.bench import WORKLOADS
 from repro.sim import Simulator
 
 
@@ -215,6 +216,27 @@ def test_mcs_connections_share_one_target():
     assert session.release_order == sorted(session.release_order)
     # All connections dispatch into the one target (shared volume).
     assert stack.target.commands_served >= session.commands_issued
+
+
+def test_rpc_peers_cover_every_connection():
+    # Each connection's initiator peer, then its target peer; the RPC
+    # telemetry series sum over all of them.
+    stack = make_stack("iscsi", params=_mcs_params(4), telemetry=True)
+    stack.run(WORKLOADS["randwrite"](stack.client), name="randwrite")
+    stack.quiesce()
+    peers = stack.rpc_peers()
+    assert len(peers) == 8
+    assert peers[0] is stack.initiator.rpc
+    callers = [peer for peer in peers if peer.track == "client"]
+    assert callers == peers[0::2] == stack.session.rpcs
+    issued = stack.session.commands_issued
+    assert sum(peer.calls_issued for peer in callers) == issued
+    assert stack.initiator.rpc.calls_issued < issued
+    probes = {name: probe for name, probe, _kind, _scale
+              in stack.telemetry._probes}
+    assert probes["client.rpc.calls_s"]() == issued
+    assert probes["server.rpc.served_s"]() == sum(
+        peer.calls_served for peer in peers[1::2])
 
 
 class _ScriptedRpc:

@@ -204,7 +204,7 @@ def test_parameter_validation():
         SharedNfsTestbed(nservers=0)
     with pytest.raises(ValueError):
         SharedNfsTestbed(shards=0)
-    with pytest.raises(ValueError, match="fork"):
+    with pytest.raises(TypeError):   # windows always run sequentially
         SharedNfsTestbed(shards=2, executor="fork")
     with pytest.raises(ValueError, match="UDP"):
         SharedNfsTestbed(kind="nfsv2", shards=2)   # v2 rides lossy UDP
@@ -249,10 +249,8 @@ def test_sharded_testbed_matches_unsharded():
     observable — sizes, message counts, per-server traffic."""
     reference = _drive_phases(SharedNfsTestbed(nclients=4, nservers=2))
     assert reference[0] == [(0, 4096), (1, 8192), (2, 12288), (3, 16384)]
-    for shards, executor in ((2, "thread"), (2, "sequential"),
-                             (3, "thread")):
-        bed = SharedNfsTestbed(nclients=4, nservers=2, shards=shards,
-                               executor=executor)
+    for shards in (2, 3):
+        bed = SharedNfsTestbed(nclients=4, nservers=2, shards=shards)
         assert _drive_phases(bed) == reference
 
 

@@ -108,7 +108,7 @@ def test_striped_messages_split_across_servers():
 def test_striped_flat_and_sharded_agree():
     def outcome(shards):
         bed = SharedNfsTestbed(nclients=3, nservers=2, striped=True,
-                               shards=shards, executor="thread")
+                               shards=shards)
         for index, client in enumerate(bed.clients):
             bed.add_workload(index, _striped_workload(client, "c%d" % index,
                                                       files=4))

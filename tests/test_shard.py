@@ -184,8 +184,7 @@ def test_storm_partition_invariant_across_shards_and_executors():
     reference = _storm(nshards=0)
     assert reference[0] == 4 * 4 * 5
     for nshards in (1, 2, 4):
-        for executor in ("sequential", "thread"):
-            assert _storm(nshards=nshards, executor=executor) == reference
+        assert _storm(nshards=nshards, executor="sequential") == reference
     # One fork point (the expensive executor) and one sanitized point.
     assert _storm(nshards=2, executor="fork") == reference
     assert _storm(nshards=2, executor="sequential", san=True) == reference
@@ -283,7 +282,7 @@ def test_phase_process_error_propagates():
 
 
 def test_context_manager_closes_executor():
-    with ShardedSimulator(2, 1.0, executor="thread") as sharded:
+    with ShardedSimulator(2, 1.0, executor="sequential") as sharded:
         shard = sharded.shard(0)
 
         def quick():
