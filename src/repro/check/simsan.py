@@ -27,12 +27,6 @@ Checks and finding codes
   still outstanding; or a reply arrived for a call never issued.
 * **S406 iSCSI task-set conservation** — SCSI commands issued by the
   initiator that never completed.
-* **S407 cross-shard causality** — in a sharded run
-  (:mod:`repro.sim.shard`), a routed message arrived less than the
-  lookahead after it was sent, or below the synchronization window's
-  floor.  Checked by :class:`~repro.sim.shard.ShardedSimulator` at
-  routing time when built with ``san=True``; per-shard S403 order
-  verification rides on one :class:`CheckedSimulator` per shard.
 
 Enable with ``StorageStack(..., san=True)`` / ``make_stack(...,
 san=True)`` or ``--san`` on the workload-running CLI subcommands; then

@@ -38,39 +38,9 @@ from ..storage.raid import Raid5Volume
 from .counters import CountersSnapshot, MessageCounters
 from .params import NfsParams, TestbedParams
 
-__all__ = ["StorageStack", "STACK_KINDS", "make_stack", "placement_shard"]
+__all__ = ["StorageStack", "STACK_KINDS", "make_stack"]
 
 STACK_KINDS = ("nfsv2", "nfsv3", "nfsv4", "iscsi", "nfs-enhanced")
-
-
-def placement_shard(shards: int, params: Optional[TestbedParams] = None,
-                    san: bool = False):
-    """Resolve a ``--shards`` cell parameter to a stack placement.
-
-    ``0`` (the default everywhere) means "no placement": the stack
-    builds its own flat :class:`~repro.sim.Simulator` exactly as
-    always.  ``1`` builds a one-shard
-    :class:`~repro.sim.shard.ShardedSimulator` (lookahead = the
-    testbed's one-way link latency) and returns its shard — the run is
-    byte-identical to the unplaced one, which CI enforces.  A single
-    stack is one tightly coupled unit (client, link, server share one
-    calendar), so more than one shard is rejected here: within-run
-    parallelism comes from *multi-stack* topologies — see
-    :class:`~repro.core.multiclient.SharedNfsTestbed` and
-    ``repro scale``.
-    """
-    if not shards:
-        return None
-    if shards != 1:
-        raise ValueError(
-            "a single stack occupies exactly one shard (got shards=%d); "
-            "multi-shard runs need a multi-stack topology — see "
-            "SharedNfsTestbed(shards=...) or `repro scale`" % (shards,))
-    from ..sim.shard import ShardedSimulator
-
-    testbed = params if params is not None else TestbedParams()
-    return ShardedSimulator(
-        1, testbed.network.rtt / 2.0, san=san).shard(0)
 
 
 # -- the wiring both testbeds share --------------------------------------------
@@ -78,7 +48,7 @@ def placement_shard(shards: int, params: Optional[TestbedParams] = None,
 # (repro.core.multiclient: several live clients on shared exports) build
 # their machines, connections and protocol endpoints through the
 # constructors below.  Callers pass placement (the host each side runs
-# on, which carries its simulator or shard and its CPU), names, and the
+# on, which carries its simulator and its CPU), names, and the
 # values where the two topologies really differ; the constructors decide
 # the rest once: CPU cost sums, retransmission, reliability, trace tracks.
 #
@@ -131,7 +101,7 @@ def _transport(link: Link, counters: MessageCounters, protocol: str,
     )
 
 
-def _peer_pair(protocol: str, transport: Any, server_host: Host,
+def _peer_pair(protocol: str, transport: DuplexTransport, server_host: Host,
                client_host: Host, params: TestbedParams, names):
     """One connection's RPC peers, server side first.
 
@@ -175,7 +145,7 @@ def _peer_pair(protocol: str, transport: Any, server_host: Host,
     return peers
 
 
-def _nfs_endpoints(transport: Any, server_host: Host, fs: Ext3Fs,
+def _nfs_endpoints(transport: DuplexTransport, server_host: Host, fs: Ext3Fs,
                    client_host: Host, params: TestbedParams, names,
                    readahead_pages: int, state=None,
                    client_id: str = "client0"):
@@ -200,9 +170,9 @@ def _nfs_endpoints(transport: Any, server_host: Host, fs: Ext3Fs,
     return server, client
 
 
-def _iscsi_endpoints(transport: Any, server_host: Host, raid: Raid5Volume,
-                     target: Optional[IscsiTarget], client_host: Host,
-                     params: TestbedParams, names):
+def _iscsi_endpoints(transport: DuplexTransport, server_host: Host,
+                     raid: Raid5Volume, target: Optional[IscsiTarget],
+                     client_host: Host, params: TestbedParams, names):
     """One iSCSI connection: ``(target, initiator peer)``.
 
     The first connection (``target=None``) builds the target over
@@ -225,30 +195,14 @@ class StorageStack:
     def __init__(self, kind: str, params: Optional[TestbedParams] = None,
                  trace: bool = False, fault_plan=None, san: bool = False,
                  telemetry: bool = False, heartbeat: bool = False,
-                 recorder: bool = False, sim: Optional[Any] = None):
+                 recorder: bool = False):
         if kind not in STACK_KINDS:
             raise ValueError("unknown stack kind %r; one of %s" % (kind, STACK_KINDS))
         self.kind = kind
         self.params = params if params is not None else TestbedParams()
         self.params = self._specialize_params(kind, self.params)
 
-        # Placement: ``sim`` accepts a Simulator or a Shard
-        # (repro.sim.shard) — the whole stack (both hosts, the link,
-        # everything) is then built on that calendar.  A stack is a
-        # tightly coupled unit; to parallelize *across* stacks, place
-        # each one on its own shard.  In a multi-shard topology the
-        # caller owns phase discipline: mount through a phase (see
-        # SharedNfsTestbed) rather than run_process.
-        if sim is not None:
-            self.sim = getattr(sim, "sim", sim)  # unwrap a Shard
-            if san:
-                from ..check.simsan import CheckedSimulator
-                if not isinstance(self.sim, CheckedSimulator):
-                    raise ValueError(
-                        "san=True needs a checking kernel: build the "
-                        "placement on one (ShardedSimulator(..., san=True)) "
-                        "or drop sim=")
-        elif san:
+        if san:
             # Sanitizers (repro.check.simsan): built only on request, so
             # the default stack keeps the plain kernel and None hooks
             # everywhere.
@@ -632,8 +586,7 @@ def make_stack(kind: str, params: Optional[TestbedParams] = None,
                fault_plan=None, san: bool = False,
                telemetry: bool = False,
                heartbeat: bool = False,
-               recorder: bool = False,
-               sim: Optional[Any] = None) -> StorageStack:
+               recorder: bool = False) -> StorageStack:
     """Build (and by default mount) a stack of the given kind.
 
     Pass ``trace=True`` to attach a recording :class:`repro.obs.Tracer`
@@ -652,14 +605,10 @@ def make_stack(kind: str, params: Optional[TestbedParams] = None,
     :class:`repro.obs.explain.FlightRecorder` (``stack.recorder``): a
     bounded ring of recent kernel events and messages that sanitizer and
     telemetry findings dump as evidence; also observe-only.
-    Pass ``sim=`` (a :class:`~repro.sim.Simulator` or a
-    :class:`~repro.sim.shard.Shard`) to place the stack on an existing
-    calendar — the shard-placement API; with one shard the run is
-    byte-identical to an unplaced stack.
     """
     stack = StorageStack(kind, params, trace=trace, fault_plan=fault_plan,
                          san=san, telemetry=telemetry, heartbeat=heartbeat,
-                         recorder=recorder, sim=sim)
+                         recorder=recorder)
     if mounted:
         stack.mount()
     if stack.fault_injector is not None:

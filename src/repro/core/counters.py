@@ -31,12 +31,6 @@ def _sub_dicts(left: Dict[str, int], right: Dict[str, int]) -> Dict[str, int]:
     return {op: n for op, n in out.items() if n}
 
 
-def _add_dicts(left: Dict[str, int], right: Dict[str, int]) -> Dict[str, int]:
-    out = Counter(left)
-    out.update(right)
-    return {op: n for op, n in out.items() if n}
-
-
 @dataclass(frozen=True)
 class CountersSnapshot:
     """An immutable point-in-time copy of a :class:`MessageCounters`."""
@@ -70,23 +64,6 @@ class CountersSnapshot:
             retransmits_by_op=_sub_dicts(
                 self.retransmits_by_op, other.retransmits_by_op),
             reply_bytes_by_op=_sub_dicts(
-                self.reply_bytes_by_op, other.reply_bytes_by_op),
-        )
-
-    def __add__(self, other: "CountersSnapshot") -> "CountersSnapshot":
-        """Merge two accounting views (e.g. the two halves of a
-        :class:`~repro.net.transport.ShardedTransport`, which each count
-        only the direction they send)."""
-        return CountersSnapshot(
-            requests=self.requests + other.requests,
-            replies=self.replies + other.replies,
-            retransmissions=self.retransmissions + other.retransmissions,
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-            bytes_received=self.bytes_received + other.bytes_received,
-            by_op=_add_dicts(self.by_op, other.by_op),
-            retransmits_by_op=_add_dicts(
-                self.retransmits_by_op, other.retransmits_by_op),
-            reply_bytes_by_op=_add_dicts(
                 self.reply_bytes_by_op, other.reply_bytes_by_op),
         )
 

@@ -10,7 +10,7 @@ It is the live counterpart to the Section-7 trace simulation: with the
 enhancements enabled, cache-invalidation callbacks and directory-
 delegation recalls actually travel between real protocol endpoints here.
 
-Two axes of scale:
+Two axes of scale, both on one :class:`~repro.sim.Simulator` calendar:
 
 * ``nservers=M`` builds M independent server machines (host + RAID +
   ext3 + delegation state); client *i* mounts server ``i % M``.  Per-
@@ -20,17 +20,11 @@ Two axes of scale:
   pNFS-style layout home (:mod:`repro.nfs.pnfs`): server 0 doubles as
   the metadata server answering ``LAYOUTGET``, and a cross-server
   namespace is striped over all M exports.
-* ``shards=K`` partitions the whole testbed over K shards of a
-  :class:`~repro.sim.shard.ShardedSimulator`: server *s* lands on shard
-  ``s % K``, client *i* on shard ``i % K``, and each client-server pair
-  is wired with a :class:`~repro.net.transport.ShardedTransport` — the
-  transport is the shard boundary.  Workloads are then registered as
-  factories (:meth:`SharedNfsTestbed.add_workload`) and driven in
-  phases (:meth:`SharedNfsTestbed.run_phase`); the phase API works
-  identically in the unsharded case, where it spawns everything on the
-  one flat calendar, so the same driver code can be compared across
-  shardings.  The bed reads client and server state in the driving
-  process, so its windows always run on the ``sequential`` executor.
+
+:meth:`SharedNfsTestbed.run` drives one workload process.  To run the
+clients concurrently, register one workload factory per client with
+:meth:`SharedNfsTestbed.add_workload` and start them together with
+:meth:`SharedNfsTestbed.run_phase`.
 
 Machines, connections and NFS endpoints are built by the constructors
 :class:`~repro.core.comparison.StorageStack` uses.
@@ -43,7 +37,6 @@ from typing import Any, Callable, Generator, List, Optional
 from ..client.host import Host
 from ..fs.ext3 import Ext3Fs
 from ..net.link import Link
-from ..net.transport import ShardedTransport
 from ..nfs.client import NfsClient
 from ..nfs.pnfs import StripeLayout, StripedNfsClient
 from ..nfs.server import NfsServer, ServerState
@@ -57,33 +50,11 @@ from .params import TestbedParams
 __all__ = ["SharedNfsTestbed"]
 
 
-class _MergedCounters:
-    """Per-client accounting facade over a :class:`ShardedTransport`.
-
-    Keeps ``bed.counters[i].messages`` working in sharded mode, where
-    the two transport halves each count only the direction they send.
-    """
-
-    __slots__ = ("transport",)
-
-    def __init__(self, transport: ShardedTransport):
-        self.transport = transport
-
-    @property
-    def messages(self) -> int:
-        return (self.transport.client_half.counters.requests
-                + self.transport.server_half.counters.requests)
-
-    def snapshot(self):
-        return self.transport.merged_counters()
-
-
 class _FanoutCounters:
     """Per-client accounting over a striped one-transport-per-server fan.
 
-    ``per_server[s]`` is the counter facade for this client's connection
-    to server ``s`` (a :class:`MessageCounters` when flat, a
-    :class:`_MergedCounters` when sharded); ``messages`` sums the fan.
+    ``per_server[s]`` is the :class:`MessageCounters` of this client's
+    connection to server ``s``; ``messages`` sums the fan.
     """
 
     __slots__ = ("per_server",)
@@ -105,7 +76,6 @@ class SharedNfsTestbed:
         kind: str = "nfsv3",
         params: Optional[TestbedParams] = None,
         nservers: int = 1,
-        shards: int = 1,
         striped: bool = False,
     ):
         if kind == "iscsi":
@@ -117,11 +87,8 @@ class SharedNfsTestbed:
             raise ValueError("a shared testbed needs at least two clients")
         if nservers < 1:
             raise ValueError("nservers must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.kind = kind
         self.nservers = nservers
-        self.shards = shards
         # pNFS-style export striping (repro.nfs.pnfs): every client
         # connects to every server and routes each path to its layout
         # home; striped=False keeps the classic client-mounts-one-server
@@ -131,27 +98,7 @@ class SharedNfsTestbed:
         self.params = StorageStack._specialize_params(
             kind, params if params is not None else TestbedParams()
         )
-        if shards > 1:
-            if self.params.nfs.transport == "udp":
-                raise ValueError(
-                    "a sharded testbed needs a reliable transport: the lossy "
-                    "UDP mode mutates deliveries in flight, which the "
-                    "conservative window protocol does not model"
-                )
-            from ..sim.shard import ShardedSimulator
-
-            # Lookahead = the minimum cross-shard link latency.  Every
-            # transport here uses the testbed's one network config, so
-            # that minimum is simply rtt/2; a zero-RTT network is
-            # rejected by ShardedSimulator (no conservative window).
-            # The bed reads client and server state in the driving
-            # process, so its windows run on the sequential executor.
-            self.sharded: Optional[ShardedSimulator] = ShardedSimulator(
-                shards, self.params.network.rtt / 2.0)
-            self.sim = None
-        else:
-            self.sharded = None
-            self.sim = Simulator()
+        self.sim = Simulator()
         self.server_hosts: List[Host] = []
         self.raids: List[Raid5Volume] = []
         self.filesystems: List[Ext3Fs] = []
@@ -171,51 +118,23 @@ class SharedNfsTestbed:
         self.counters: List[Any] = []
         self.servers: List[NfsServer] = []
         self._phases: dict = {}
-        self._phase_seq = 0
         for index in range(nclients):
             self._add_client(index)
-        if self.sharded is None:
-            for fs in self.filesystems:
-                self.sim.run_process(fs.mount(), name="mount")
-        else:
-            # Mount through the window machinery so the end-of-phase
-            # barrier leaves every shard at the same instant.
-            for index, fs in enumerate(self.filesystems):
-                self.sharded.add_phase(
-                    "mount", self.server_shard_index(index), fs.mount,
-                    name="mount.s%d" % index)
-            self.sharded.run_phase("mount")
+        for fs in self.filesystems:
+            self.sim.run_process(fs.mount(), name="mount")
 
     # -- placement -------------------------------------------------------------
-
-    def client_shard_index(self, index: int) -> int:
-        """Which shard client ``index`` is placed on (round-robin)."""
-        return index % self.shards
-
-    def server_shard_index(self, index: int) -> int:
-        """Which shard server ``index`` is placed on (round-robin)."""
-        return index % self.shards
 
     def server_of(self, index: int) -> int:
         """Which server client ``index`` mounts."""
         return index % self.nservers
-
-    def _client_sim(self, index: int) -> Simulator:
-        if self.sharded is None:
-            return self.sim
-        return self.sharded.shard(self.client_shard_index(index)).sim
-
-    def _server_sim(self, index: int) -> Simulator:
-        if self.sharded is None:
-            return self.sim
-        return self.sharded.shard(self.server_shard_index(index)).sim
 
     # -- construction ----------------------------------------------------------
 
     def _add_server(self, index: int) -> None:
         suffix = "" if self.nservers == 1 else "%d" % index
         host, raid, fs = _server_machine(
-            self._server_sim(index), self.params, suffix)
+            self.sim, self.params, suffix)
         self.server_hosts.append(host)
         self.raids.append(raid)
         self.filesystems.append(fs)
@@ -223,8 +142,7 @@ class SharedNfsTestbed:
 
     def _add_client(self, index: int) -> None:
         cpu = self.params.cpu
-        client_sim = self._client_sim(index)
-        host = Host(client_sim, cpu.client_cpus, "client%d" % index)
+        host = Host(self.sim, cpu.client_cpus, "client%d" % index)
         self.client_hosts.append(host)
         if not self.striped:
             client, counters, server = self._connect(
@@ -243,7 +161,7 @@ class SharedNfsTestbed:
             fan.append(counters)
             self.servers.append(server)
         self.clients.append(StripedNfsClient(
-            client_sim, inner_clients, layout=self.layout))
+            self.sim, inner_clients, layout=self.layout))
         self.counters.append(_FanoutCounters(fan))
 
     def _connect(self, index: int, server_index: int, host: Host,
@@ -256,21 +174,10 @@ class SharedNfsTestbed:
         endpoint name (and the event sequence) exactly as before.
         """
         name = "%s.c%d%s" % (self.kind, index, suffix)
-        if self.sharded is None:
-            link = Link(self.sim, rtt=self.params.network.rtt,
-                        bandwidth=self.params.network.bandwidth)
-            counters: Any = MessageCounters()
-            transport: Any = _transport(link, counters, "nfs", self.params,
-                                        name)
-        else:
-            transport = ShardedTransport(
-                self.sharded.shard(self.client_shard_index(index)),
-                self.sharded.shard(self.server_shard_index(server_index)),
-                rtt=self.params.network.rtt,
-                bandwidth=self.params.network.bandwidth,
-                name=name,
-            )
-            counters = _MergedCounters(transport)
+        link = Link(self.sim, rtt=self.params.network.rtt,
+                    bandwidth=self.params.network.bandwidth)
+        counters = MessageCounters()
+        transport = _transport(link, counters, "nfs", self.params, name)
         # All frontends of one server share its filesystem, its
         # delegation/cache state, and its per-inode write locks.
         tag = "c%d%s" % (index, suffix)
@@ -286,36 +193,22 @@ class SharedNfsTestbed:
     # -- driving -----------------------------------------------------------------
 
     def run(self, coroutine: Generator, name: str = "workload"):
-        """Execute the workload; returns its result record (unsharded only)."""
-        if self.sharded is not None:
-            raise RuntimeError(
-                "a sharded testbed has no single calendar to drive; register "
-                "per-client factories with add_workload() and call run_phase()"
-            )
+        """Execute the workload; returns its result record."""
         return self.sim.run_process(coroutine, name=name)
 
     def add_workload(self, client_index: int,
                      factory: Callable[[], Generator],
                      phase: str = "workload") -> None:
-        """Register a zero-arg workload factory for one client's shard.
+        """Register a zero-arg workload factory for one client.
 
-        In the unsharded testbed the factories are simply remembered and
-        spawned together by :meth:`run_phase`, so driver code is
-        identical across shardings.
+        The factories of one phase are spawned together by
+        :meth:`run_phase`, so the clients' workloads run concurrently.
         """
-        if self.sharded is not None:
-            self.sharded.add_phase(
-                phase, self.client_shard_index(client_index), factory,
-                name="%s.c%d" % (phase, client_index))
-        else:
-            self._phases.setdefault(phase, []).append(
-                (factory, "%s.c%d" % (phase, client_index)))
+        self._phases.setdefault(phase, []).append(
+            (factory, "%s.c%d" % (phase, client_index)))
 
     def run_phase(self, phase: str = "workload") -> None:
         """Run every workload registered under ``phase`` to completion."""
-        if self.sharded is not None:
-            self.sharded.run_phase(phase)
-            return
         procs = [self.sim.spawn(factory(), name=name)
                  for factory, name in self._phases.pop(phase, ())]
         if procs:
@@ -326,36 +219,10 @@ class SharedNfsTestbed:
 
     def quiesce(self) -> None:
         """Settle all asynchronous state on every client and server."""
-        if self.sharded is None:
-            for client in self.clients:
-                self.run(client.quiesce(), name="quiesce")
-            for fs in self.filesystems:
-                self.run(fs.quiesce(), name="server-quiesce")
-            return
-        self._phase_seq += 1
-        phase = "quiesce%d" % self._phase_seq
-        for index, client in enumerate(self.clients):
-            self.sharded.add_phase(
-                phase, self.client_shard_index(index), client.quiesce,
-                name="%s.c%d" % (phase, index))
-        self.sharded.run_phase(phase)
-        server_phase = "server-" + phase
-        for index, fs in enumerate(self.filesystems):
-            self.sharded.add_phase(
-                server_phase, self.server_shard_index(index), fs.quiesce,
-                name="%s.s%d" % (server_phase, index))
-        self.sharded.run_phase(server_phase)
-
-    def close(self) -> None:
-        """Shut the shard executor down (no-op for the unsharded bed)."""
-        if self.sharded is not None:
-            self.sharded.close()
-
-    def __enter__(self) -> "SharedNfsTestbed":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        for client in self.clients:
+            self.run(client.quiesce(), name="quiesce")
+        for fs in self.filesystems:
+            self.run(fs.quiesce(), name="server-quiesce")
 
     # -- accounting --------------------------------------------------------------
 

@@ -341,7 +341,7 @@ def _testbed(kind: str, overrides: Optional[Dict[str, Dict[str, Any]]]):
 
 @cell_kind("quick")
 def _cell_quick(kind: str, san: bool = False,
-                telemetry: bool = False, shards: int = 0) -> Dict[str, Any]:
+                telemetry: bool = False) -> Dict[str, Any]:
     """The ``repro quick`` smoke row for one stack kind.
 
     ``san=True`` runs the same workload under the runtime sanitizers
@@ -349,14 +349,11 @@ def _cell_quick(kind: str, san: bool = False,
     check fires, in which case the cell raises.  ``telemetry=True``
     attaches the streaming collector; its snapshot rides along under
     ``"__telemetry__"`` (stripped by the runner) and the measured fields
-    stay byte-identical.  ``shards=1`` builds the stack on a one-shard
-    calendar (:func:`~repro.core.comparison.placement_shard`); the
-    result stays byte-identical, which CI's scale-smoke job enforces.
+    stay byte-identical.
     """
-    from .comparison import make_stack, placement_shard
+    from .comparison import make_stack
 
-    stack = make_stack(kind, san=san, telemetry=telemetry,
-                       sim=placement_shard(shards, san=san))
+    stack = make_stack(kind, san=san, telemetry=telemetry)
     client = stack.client
 
     def work():
@@ -380,13 +377,11 @@ def _cell_quick(kind: str, san: bool = False,
 
 
 @cell_kind("syscall_table")
-def _cell_syscall_table(kind: str, depth: int, warm: bool,
-                        shards: int = 0) -> Dict[str, int]:
+def _cell_syscall_table(kind: str, depth: int, warm: bool) -> Dict[str, int]:
     """One (stack, depth) column of Table 2 (cold) or Table 3 (warm)."""
     from ..workloads import run_syscall_table
 
-    table = run_syscall_table(kinds=(kind,), depths=(depth,), warm=warm,
-                              shards=shards)
+    table = run_syscall_table(kinds=(kind,), depths=(depth,), warm=warm)
     return {op: row[kind] for op, row in table[depth].items()}
 
 
@@ -418,7 +413,7 @@ def _cell_seqrand(kind: str, mode: str, mb: int,
 
 
 @cell_kind("seqrand_table")
-def _cell_seqrand_table(kind: str, mb: int, shards: int = 0) -> Dict[str, Any]:
+def _cell_seqrand_table(kind: str, mb: int) -> Dict[str, Any]:
     """All four Table 4 modes for one stack, on one shared workload.
 
     One cell, not four: the workload's shuffle RNG is shared across the
@@ -428,7 +423,7 @@ def _cell_seqrand_table(kind: str, mb: int, shards: int = 0) -> Dict[str, Any]:
     """
     from ..workloads import SeqRandWorkload
 
-    workload = SeqRandWorkload(kind, file_mb=mb, shards=shards)
+    workload = SeqRandWorkload(kind, file_mb=mb)
     results = {}
     for mode, result in (
         ("seq-read", workload.run_read(True)),
@@ -442,49 +437,16 @@ def _cell_seqrand_table(kind: str, mb: int, shards: int = 0) -> Dict[str, Any]:
     return results
 
 
-@cell_kind("scale_point")
-def _cell_scale_point(groups: int, clients_per_group: int, requests: int,
-                      nshards: int) -> Dict[str, Any]:
-    """Deterministic metrics of one ``repro scale`` sweep point.
-
-    Runs the sharded-kernel storm (:func:`repro.sim.perf.run_shard_storm`)
-    on the *sequential* executor — cells must be pure functions of their
-    parameters, and the storm's measured outcome is partition-invariant,
-    so this one cell certifies the numbers every timed sweep point (any
-    executor, any job count) must reproduce.  ``nshards=0`` is the flat
-    single-calendar reference.
-    """
-    from ..sim.perf import run_shard_storm
-
-    result = run_shard_storm(groups=groups,
-                             clients_per_group=clients_per_group,
-                             requests=requests, nshards=nshards,
-                             executor="sequential")
-    return {"clients": result["clients"],
-            "completed": result["completed"],
-            "records": result["records"],
-            "makespan": result["makespan"]}
-
-
 @cell_kind("farm_point")
 def _cell_farm_point(protocol: str, nclients: int, nservers: int,
-                     connections: int, sharing: float, requests: int,
-                     nshards: int) -> Dict[str, Any]:
-    """One farm-sweep point (:func:`repro.sim.farm.run_farm`).
-
-    Like ``scale_point``, the cell runs on the sequential executor and
-    certifies the machine-independent outcome every partitioning of the
-    same point must reproduce; the partition-dependent shard ``report``
-    is dropped so the cell value is a pure function of its parameters.
-    """
+                     connections: int, sharing: float,
+                     requests: int) -> Dict[str, Any]:
+    """One farm-sweep point (:func:`repro.sim.farm.run_farm`)."""
     from ..sim.farm import run_farm
 
-    result = run_farm(protocol=protocol, nclients=nclients,
-                      nservers=nservers, connections=connections,
-                      sharing=sharing, requests=requests, nshards=nshards,
-                      executor="sequential")
-    result.pop("report")
-    return result
+    return run_farm(protocol=protocol, nclients=nclients, nservers=nservers,
+                    connections=connections, sharing=sharing,
+                    requests=requests)
 
 
 @cell_kind("postmark")

@@ -159,7 +159,7 @@ def _pair(cells: List[Cell]) -> Dict[str, Cell]:
 # -- quick: the five-stack smoke row --------------------------------------------
 
 
-def _cells_quick(san: bool, telemetry: bool, shards: int) -> List[Cell]:
+def _cells_quick(san: bool, telemetry: bool) -> List[Cell]:
     cells = []
     for kind in STACK_KINDS:
         params: Dict[str, Any] = {"kind": kind}
@@ -167,16 +167,12 @@ def _cells_quick(san: bool, telemetry: bool, shards: int) -> List[Cell]:
             params["san"] = True
         if telemetry:
             params["telemetry"] = True
-        if shards:
-            # Conditional, like san/telemetry: the default cell ids (and
-            # the cache keys behind BENCH_quick.json) stay unchanged.
-            params["shards"] = shards
         cells.append(make_cell("quick", **params))
     return cells
 
 
-def _render_quick(results, san: bool, telemetry: bool, shards: int) -> None:
-    for cell in _cells_quick(san, telemetry, shards):
+def _render_quick(results, san: bool, telemetry: bool) -> None:
+    for cell in _cells_quick(san, telemetry):
         record = results[cell.id]
         print("%-14s msgs=%-5d bytes=%-8d t=%.2fms" % (
             cell.params["kind"], record["messages"], record["bytes"],
@@ -185,7 +181,7 @@ def _render_quick(results, san: bool, telemetry: bool, shards: int) -> None:
 
 QUICK = Artifact(
     "quick", "quick (five-stack smoke)",
-    options={"san": False, "telemetry": False, "shards": 0},
+    options={"san": False, "telemetry": False},
     cells=_cells_quick, render=_render_quick)
 
 
@@ -222,28 +218,23 @@ TABLE3_PAPER = {
 }
 
 
-def _syscall_cell(kind: str, depth: int, warm: bool, shards: int = 0) -> Cell:
-    params: Dict[str, Any] = {"kind": kind, "depth": depth, "warm": warm}
-    if shards:
-        params["shards"] = shards
-    return make_cell("syscall_table", **params)
+def _syscall_cell(kind: str, depth: int, warm: bool) -> Cell:
+    return make_cell("syscall_table", kind=kind, depth=depth, warm=warm)
 
 
-def _cells_syscalls(depth: Tuple[int, ...], warm: bool,
-                    shards: int) -> List[Cell]:
-    return [_syscall_cell(kind, d, warm, shards)
+def _cells_syscalls(depth: Tuple[int, ...], warm: bool) -> List[Cell]:
+    return [_syscall_cell(kind, d, warm)
             for d in depth for kind in SYSCALL_KINDS]
 
 
-def _render_syscalls(results, depth: Tuple[int, ...], warm: bool,
-                     shards: int) -> None:
+def _render_syscalls(results, depth: Tuple[int, ...], warm: bool) -> None:
     for d in depth:
         print("\n%s cache, depth %d" % ("warm" if warm else "cold", d))
         rows = []
         for op in SYSCALL_OPS:
             row = [op]
             for kind in SYSCALL_KINDS:
-                row.append(results[_syscall_cell(kind, d, warm, shards).id][op])
+                row.append(results[_syscall_cell(kind, d, warm).id][op])
             rows.append(row)
         print_table(["syscall", "v2", "v3", "v4", "iscsi"], rows)
 
@@ -285,10 +276,9 @@ def _check_v4_exact(r):
 
 TABLE2 = Artifact(
     "table2", "Table 2 (cold syscalls)",
-    options={"depth": (0, 3), "shards": 0},
-    cells=lambda depth, shards: _cells_syscalls(depth, False, shards),
-    render=lambda results, depth, shards: _render_syscalls(
-        results, depth, False, shards),
+    options={"depth": (0, 3)},
+    cells=lambda depth: _cells_syscalls(depth, False),
+    render=lambda results, depth: _render_syscalls(results, depth, False),
     paper=TABLE2_PAPER,
     claims=(
         Claim("table2.cold-messages",
@@ -323,10 +313,9 @@ def _check_table3(r):
 
 TABLE3 = Artifact(
     "table3", "Table 3 (warm syscalls)",
-    options={"depth": (0,), "shards": 0},
-    cells=lambda depth, shards: _cells_syscalls(depth, True, shards),
-    render=lambda results, depth, shards: _render_syscalls(
-        results, depth, True, shards),
+    options={"depth": (0,)},
+    cells=lambda depth: _cells_syscalls(depth, True),
+    render=lambda results, depth: _render_syscalls(results, depth, True),
     paper=TABLE3_PAPER,
     claims=(
         Claim("table3.warm-messages",
@@ -351,21 +340,16 @@ TABLE4_PAPER = {
 }
 
 
-def _cells_table4(mb: int, shards: int) -> List[Cell]:
+def _cells_table4(mb: int) -> List[Cell]:
     # One cell per stack covering all four modes: the workload's shuffle
     # RNG is shared across the modes, so they must run in one process.
-    cells = []
-    for kind in ("nfsv3", "iscsi"):
-        params: Dict[str, Any] = {"kind": kind, "mb": mb}
-        if shards:
-            params["shards"] = shards
-        cells.append(make_cell("seqrand_table", **params))
-    return cells
+    return [make_cell("seqrand_table", kind=kind, mb=mb)
+            for kind in ("nfsv3", "iscsi")]
 
 
-def _render_table4(results, mb: int, shards: int) -> None:
+def _render_table4(results, mb: int) -> None:
     rows = []
-    for cell in _cells_table4(mb, shards):
+    for cell in _cells_table4(mb):
         by_mode = results[cell.id]
         for mode in TABLE4_MODES:
             record = by_mode[mode]
@@ -403,17 +387,17 @@ def _check_rand_write(r):
 # The rendered point, 16 MB: the paper's 128 MB scaled by 1/8.
 TABLE4 = Artifact(
     "table4", "Table 4 (128 MB I/O)",
-    options={"mb": 16, "shards": 0},
+    options={"mb": 16},
     cells=_cells_table4, render=_render_table4, paper=TABLE4_PAPER,
     claims=(
         Claim("table4.streaming",
               "reads are comparable (time 0.5-2x, messages within 5%, NFS "
               "random reads no faster); iSCSI writes take under 1/4 of NFS's "
               "time, 1/10 of its messages, moving comparable bytes",
-              _pair(_cells_table4(16, 0)), _check_table4),
+              _pair(_cells_table4(16)), _check_table4),
         Claim("table4.iscsi-rand-write",
               "iSCSI random writes take over twice its sequential writes' "
-              "time (paper: 5 s vs 2 s)", _pair(_cells_table4(16, 0)),
+              "time (paper: 5 s vs 2 s)", _pair(_cells_table4(16)),
               _check_rand_write,
               deviation="the simulated allocator lays randomly written "
                         "blocks out contiguously, so their flush costs "

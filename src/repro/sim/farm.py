@@ -1,10 +1,9 @@
-"""Server-farm storm: protocol-aware scale-out on the sharded kernel.
+"""Server-farm storm: protocol-aware scale-out on one event calendar.
 
-Where :func:`repro.sim.perf.run_shard_storm` stresses the *kernel* with
-an abstract hub/client topology, this storm models the paper's two
-protocols at farm scale: ``nclients`` clients (each issuing over
-``connections`` concurrent channels, the MC/S / nconnect queue-depth
-axis) against ``nservers`` servers.
+An abstract think/service queueing model of the paper's two protocols
+at farm scale: ``nclients`` clients (each issuing over ``connections``
+concurrent channels, the MC/S / nconnect queue-depth axis) against
+``nservers`` servers.
 
 * ``protocol="nfs"`` stripes one namespace over all servers the pNFS
   way (:class:`repro.nfs.pnfs.StripeLayout`): server 0 doubles as the
@@ -20,43 +19,41 @@ axis) against ``nservers`` servers.
 Every figure the storm returns is **machine-independent simulated
 outcome** — completions, makespan, message counts, and per-server
 queueing integrals read from :class:`~repro.sim.stats.ResourceStats` —
-so a committed baseline can be diffed exactly across hosts.  It is also
-**partition-invariant**: every (client, worker) pair gets a pairwise
-distinct think time, so no two events ever tie across a shard boundary
-and ``nshards=0`` (flat reference), ``nshards=1``, and any parallel
-partitioning produce identical outcomes.  Per-server figures are
-collected as raw integrals (``busy_time``, ``queue_integral``,
-``total_wait`` all stop growing once a server goes idle) and divided by
-the partition-invariant makespan at merge time — never by a shard-local
-clock, which runs past the last event to the conservative watermark.
+so a committed baseline can be diffed exactly across hosts.  Per-server
+figures are collected as raw integrals (``busy_time``,
+``queue_integral``, ``total_wait``, which all stop growing once a server
+goes idle) and divided by the makespan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from ..nfs.pnfs import StripeLayout
 from .kernel import Simulator
-from .perf import _dispatched, _LocalFabric, _ShardFabric
 from .resources import Resource, Store
-from .shard import ShardedSimulator, default_parallel_executor
 
 __all__ = ["run_farm", "FARM_PROTOCOLS"]
 
 FARM_PROTOCOLS = ("nfs", "iscsi")
 
 
-def _farm_server(fabric, server_id: int, layout: StripeLayout,
-                 service: float, mds_service: float, latency: float,
+# Every message is one flat calendar record: ``sim._schedule_call1`` of
+# the receiving port's ``Store.put``, ``latency`` after the send.
+_Ports = Dict[str, Callable[[Any], None]]
+
+
+def _farm_server(sim: Simulator, ports: _Ports, server_id: int,
+                 layout: StripeLayout, service: float, mds_service: float,
+                 latency: float,
                  capacity: int) -> Tuple[Resource, Dict[str, int]]:
     """One server: an inbox, a service resource, request workers."""
-    sim = fabric.sim_for(server_id)
     inbox = Store(sim, name="srv%d" % server_id)
-    fabric.bind(server_id, "srv%d" % server_id, inbox.put)
+    ports["srv%d" % server_id] = inbox.put
     resource = Resource(sim, capacity=capacity, name="farm-srv%d" % server_id)
     counts = {"layout": 0, "io": 0}
 
-    def request(kind, reply_entity, reply_port, payload):
+    def request(kind, reply_port, payload):
         if kind == "layout":
             counts["layout"] += 1
             yield from resource.use(mds_service)
@@ -65,85 +62,78 @@ def _farm_server(fabric, server_id: int, layout: StripeLayout,
             counts["io"] += 1
             yield from resource.use(service)
             answer = payload
-        fabric.post(server_id, reply_entity, reply_port, answer, latency)
+        sim._schedule_call1(ports[reply_port], answer, latency)
 
     def dispatcher():
         while True:
-            kind, reply_entity, reply_port, payload = yield from inbox.get()
-            sim.spawn(request(kind, reply_entity, reply_port, payload),
+            kind, reply_port, payload = yield from inbox.get()
+            sim.spawn(request(kind, reply_port, payload),
                       name="srv%d.req" % server_id)
 
     sim.spawn(dispatcher(), name="srv%d" % server_id)
     return resource, counts
 
 
-def _farm_client(fabric, client_id: int, nservers: int, protocol: str,
-                 connections: int, requests: int, sharing_ppt: int,
-                 shared_pool: int, files_per_client: int, think: float,
-                 latency: float, sink: list) -> List[Any]:
+def _farm_client(sim: Simulator, ports: _Ports, client_id: int,
+                 nservers: int, protocol: str, connections: int,
+                 requests: int, sharing_ppt: int, shared_pool: int,
+                 files_per_client: int, think: float, latency: float,
+                 sink: list) -> None:
     """One client: ``connections`` workers sharing a layout cache."""
-    entity = nservers + client_id
-    sim = fabric.sim_for(entity)
     layouts: Dict[str, int] = {}   # path -> home server (client-side cache)
     progress = {"done": 0}
-    factories = []
     for worker_id in range(connections):
         port = "cl%d.w%d" % (client_id, worker_id)
         box = Store(sim, name=port)
-        fabric.bind(entity, port, box.put)
-        factories.append(_farm_worker(
-            fabric, sim, box, entity, port, client_id, worker_id, nservers,
+        ports[port] = box.put
+        sim.spawn(_farm_worker(
+            sim, ports, box, port, client_id, worker_id, nservers,
             protocol, connections, requests, sharing_ppt, shared_pool,
-            files_per_client, think, latency, layouts, progress, sink))
-    return factories
+            files_per_client, think, latency, layouts, progress, sink),
+            name="farm-client")
 
 
-def _farm_worker(fabric, sim, box, entity, port, client_id, worker_id,
-                 nservers, protocol, connections, requests, sharing_ppt,
-                 shared_pool, files_per_client, think, latency, layouts,
-                 progress, sink):
-    # Pairwise-distinct think times across every (client, worker) pair:
-    # no two events ever tie across a shard boundary, which is what
-    # makes the storm's outcome partition-invariant.
+def _farm_worker(sim, ports, box, port, client_id, worker_id, nservers,
+                 protocol, connections, requests, sharing_ppt, shared_pool,
+                 files_per_client, think, latency, layouts, progress, sink):
+    """One channel of a client: think, route, send, await the reply."""
+    # Pairwise-distinct think times across every (client, worker) pair,
+    # so no two workers issue in lockstep.  The committed
+    # BENCH_scale.json depends on these exact values.
     my_think = think * (1.0 + client_id * 7.3e-5 + worker_id * 1.9e-6)
-
-    def worker():
-        for seq in range(worker_id, requests, connections):
-            yield sim.hold(my_think)
-            if protocol == "iscsi":
-                # Block access: this client's volume, its portal server.
-                home = client_id % nservers
+    for seq in range(worker_id, requests, connections):
+        yield sim.hold(my_think)
+        if protocol == "iscsi":
+            # Block access: this client's volume, its portal server.
+            home = client_id % nservers
+        else:
+            # A seeded-RNG-free request mix: an arithmetic hash picks
+            # shared-pool vs private files deterministically.
+            h = (client_id * 2654435761 + seq * 97843219) & 0xFFFFFFFF
+            if h % 1000 < sharing_ppt:
+                path = "shared/f%02d" % ((h // 1000) % shared_pool)
             else:
-                # A seeded-RNG-free request mix: an arithmetic hash picks
-                # shared-pool vs private files deterministically.
-                h = (client_id * 2654435761 + seq * 97843219) & 0xFFFFFFFF
-                if h % 1000 < sharing_ppt:
-                    path = "shared/f%02d" % ((h // 1000) % shared_pool)
-                else:
-                    path = "c%d/f%d" % (client_id, seq % files_per_client)
-                home = layouts.get(path)
-                if home is None:
-                    # First touch: LAYOUTGET round trip to the MDS
-                    # (server 0) before the I/O can be routed.
-                    fabric.post(entity, 0, "srv0",
-                                ("layout", entity, port, path), latency)
-                    home = yield from box.get()
-                    layouts[path] = home
-            fabric.post(entity, home, "srv%d" % home,
-                        ("io", entity, port, seq), latency)
-            yield from box.get()
-            progress["done"] += 1
-        if progress["done"] == requests:
-            # This worker retired the client's last request: exactly one
-            # worker observes the full count after its loop.
-            sink.append((client_id, sim.now, requests))
-
-    return worker
+                path = "c%d/f%d" % (client_id, seq % files_per_client)
+            home = layouts.get(path)
+            if home is None:
+                # First touch: LAYOUTGET round trip to the MDS (server 0)
+                # before the I/O can be routed.
+                sim._schedule_call1(ports["srv0"], ("layout", port, path),
+                                    latency)
+                home = yield from box.get()
+                layouts[path] = home
+        sim._schedule_call1(ports["srv%d" % home], ("io", port, seq), latency)
+        yield from box.get()
+        progress["done"] += 1
+    if progress["done"] == requests:
+        # This worker retired the client's last request: exactly one
+        # worker observes the full count after its loop.
+        sink.append((client_id, sim.now, requests))
 
 
 def _server_row(server_id: int, resource: Resource, counts: Dict[str, int],
                 capacity: int) -> Dict[str, Any]:
-    """Raw, partition-invariant per-server figures (integrals, counts)."""
+    """Raw per-server figures (integrals, counts)."""
     stats = resource.stats
     return {
         "server": server_id,
@@ -159,28 +149,15 @@ def _server_row(server_id: int, resource: Resource, counts: Dict[str, int],
     }
 
 
-def _farm_collector(shard, sink, rows, capacity):
-    def collect():
-        return (list(sink), _dispatched(shard.sim),
-                [_server_row(server_id, resource, counts, capacity)
-                 for server_id, resource, counts in rows])
-    return collect
-
-
 def run_farm(protocol: str = "nfs", nclients: int = 64, nservers: int = 1,
              connections: int = 1, sharing: float = 0.0, requests: int = 8,
-             nshards: int = 1, executor: Optional[str] = None,
-             jobs: Optional[int] = None, san: bool = False,
              think: float = 0.004, service: float = 0.0006,
              mds_service: float = 0.0001, latency: float = 0.0005,
              shared_pool: int = 16, files_per_client: int = 4,
              server_capacity: int = 1) -> Dict[str, Any]:
     """Run the farm storm; return its machine-independent outcome.
 
-    ``nshards=0`` is the flat sequential reference; any ``nshards >= 1``
-    partitions servers and clients round-robin over the shards and must
-    produce the identical outcome (the CI byte-identity gate).  The
-    returned ``per_server`` rows carry raw queueing integrals plus
+    The returned ``per_server`` rows carry raw queueing integrals plus
     derived figures (``utilization``, ``mean_queue``, ``mean_wait``,
     ``littles_residual``) computed against the makespan.
     """
@@ -199,74 +176,26 @@ def run_farm(protocol: str = "nfs", nclients: int = 64, nservers: int = 1,
         raise ValueError("requests must be >= 1 (got %d)" % (requests,))
     sharing_ppt = int(round(sharing * 1000))
     layout = StripeLayout(nservers)
-    if executor is None:
-        executor = default_parallel_executor()
 
-    if nshards == 0:
-        sim = Simulator()
-        fabric: Any = _LocalFabric(sim)
-        sink: list = []
-        servers = [
-            _farm_server(fabric, server_id, layout, service, mds_service,
-                         latency, server_capacity)
-            for server_id in range(nservers)
-        ]
-        for client_id in range(nclients):
-            for factory in _farm_client(
-                    fabric, client_id, nservers, protocol, connections,
-                    requests, sharing_ppt, shared_pool, files_per_client,
-                    think, latency, sink):
-                sim.spawn(factory(), name="farm-client")
-        sim.run()
-        finishes = sorted(sink)
-        records = _dispatched(sim)
-        server_rows = [_server_row(server_id, resource, counts,
-                                   server_capacity)
-                       for server_id, (resource, counts)
-                       in enumerate(servers)]
-        report = None
-    else:
-        sharded = ShardedSimulator(nshards, latency, san=san,
-                                   executor=executor, jobs=jobs)
-        fabric = _ShardFabric(sharded)
-        sinks: List[list] = [[] for _ in range(nshards)]
-        shard_servers: List[list] = [[] for _ in range(nshards)]
-        for server_id in range(nservers):
-            resource, counts = _farm_server(
-                fabric, server_id, layout, service, mds_service, latency,
-                server_capacity)
-            shard_servers[fabric.shard_of(server_id)].append(
-                (server_id, resource, counts))
-        for client_id in range(nclients):
-            entity = nservers + client_id
-            shard = sharded.shard(fabric.shard_of(entity))
-            group_sink = sinks[shard.id]
-            for factory in _farm_client(
-                    fabric, client_id, nservers, protocol, connections,
-                    requests, sharing_ppt, shared_pool, files_per_client,
-                    think, latency, group_sink):
-                shard.add_phase("farm", factory, name="farm-client")
-        for shard, group_sink, rows in zip(sharded.shards, sinks,
-                                           shard_servers):
-            shard.set_collector(
-                _farm_collector(shard, group_sink, rows, server_capacity))
-        sharded.run_phase("farm")
-        collected = sharded.collect()
-        sharded.close()
-        if san and sharded.findings:
-            from ..check.simsan import SanitizerError
-            raise SanitizerError(sharded.findings)
-        merged: list = []
-        records = 0
-        server_rows = []
-        for _shard_id, (shard_sink, shard_records, shard_rows) in sorted(
-                collected.items()):
-            merged.extend(shard_sink)
-            records += shard_records
-            server_rows.extend(shard_rows)
-        server_rows.sort(key=lambda row: row["server"])
-        finishes = sorted(merged)
-        report = sharded.report()
+    sim = Simulator()
+    ports: _Ports = {}
+    sink: list = []
+    servers = [
+        _farm_server(sim, ports, server_id, layout, service, mds_service,
+                     latency, server_capacity)
+        for server_id in range(nservers)
+    ]
+    for client_id in range(nclients):
+        _farm_client(sim, ports, client_id, nservers, protocol, connections,
+                     requests, sharing_ppt, shared_pool, files_per_client,
+                     think, latency, sink)
+    sim.run()
+    finishes = sorted(sink)
+    # Every calendar push bumps _sequence: pushes minus leftovers is the
+    # number of records dispatched.
+    records = sim._sequence - len(sim._calendar)
+    server_rows = [_server_row(server_id, resource, counts, server_capacity)
+                   for server_id, (resource, counts) in enumerate(servers)]
 
     makespan = max(entry[1] for entry in finishes)
     completed = sum(entry[2] for entry in finishes)
@@ -297,5 +226,4 @@ def run_farm(protocol: str = "nfs", nclients: int = 64, nservers: int = 1,
         "layout_gets": total_layout,
         "throughput": round(completed / makespan, 9),
         "per_server": server_rows,
-        "report": report,
     }

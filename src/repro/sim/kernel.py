@@ -24,8 +24,7 @@ per-event classes use ``__slots__``.
 One loop, :meth:`Simulator._drain`, dispatches every record.  The run
 entry points differ only in where they stop, so each one hands the loop
 a *strict* horizon — ``math.inf`` for an unbounded run, the float just
-above an inclusive ``until``, the window edge itself for
-:meth:`Simulator.run_window` — plus a process whose completion also
+above an inclusive ``until`` — plus a process whose completion also
 stops it, and sets the clock itself afterwards.  The loop pops first
 and compares afterwards, pushing the one overshooting record back:
 keys are unique, so the push-back changes no later pop order, and a
@@ -469,55 +468,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Return an event that fires when every one of ``events`` has."""
         return AllOf(self, events)
-
-    def peek(self) -> Optional[float]:
-        """Return the ``when`` of the next calendar record, or ``None``.
-
-        Sharded runs (:mod:`repro.sim.shard`) use this to compute the
-        global minimum next-event time for the conservative
-        synchronization window; it never pops or perturbs the calendar.
-        """
-        calendar = self._calendar
-        if not calendar:
-            return None
-        return calendar[0][0]
-
-    def schedule_at(self, when: float, call: Callable[[Any], None],
-                    arg: Any) -> None:
-        """Schedule ``call(arg)`` at the *absolute* time ``when``.
-
-        The cross-shard injection path: an arrival time computed on the
-        sending shard must land at exactly that float on the receiving
-        shard.  Routing through a relative delay (``when - now``) can
-        lose the low bits to float rounding, which would break the
-        byte-identity contract between sharded and sequential runs.
-        ``when`` must not lie in this simulator's past.
-        """
-        if when < self.now:
-            raise SimulationError(
-                "schedule_at(%r) is in the past (now=%r)" % (when, self.now))
-        self._sequence = seq = self._sequence + 1
-        heappush(self._calendar, (when, seq, _KIND_CALL1, call, arg))
-
-    def run_window(self, horizon: float) -> int:
-        """Process every record with ``when`` strictly below ``horizon``.
-
-        The building block of conservative parallel runs: a shard may
-        safely execute all events earlier than the synchronization
-        horizon because no other shard can inject anything below it
-        (cross-shard delivery takes at least the lookahead).  Unlike
-        :meth:`run`'s inclusive ``until`` bound, the comparison here is
-        strict — an event *on* the horizon belongs to the next window —
-        and the clock is left at the last processed event, never
-        advanced to the horizon (the next window's events may sort
-        before it).  Returns the number of records dispatched, which
-        the sharded driver aggregates into per-shard event rates.
-        """
-        # Every calendar push bumps _sequence, so pushes minus records
-        # still queued counts the records dispatched so far.
-        before = self._sequence - len(self._calendar)
-        self._drain(horizon, _NEVER)
-        return self._sequence - len(self._calendar) - before
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar empties or the clock reaches ``until``.

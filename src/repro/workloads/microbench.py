@@ -50,21 +50,17 @@ class SyscallMicrobench:
     """Cold/warm message counts for one syscall at one directory depth."""
 
     def __init__(self, kind: str, depth: int = 0,
-                 params: Optional[TestbedParams] = None, shards: int = 0):
+                 params: Optional[TestbedParams] = None):
         self.kind = kind
         self.depth = depth
         self.params = params
-        self.shards = shards
         self.base = "/" + "/".join("dir%d" % i for i in range(1, depth + 1)) \
             if depth else ""
 
     # -- environment -----------------------------------------------------------
 
     def _fresh_stack(self) -> StorageStack:
-        from ..core.comparison import placement_shard
-
-        stack = make_stack(self.kind, self.params,
-                           sim=placement_shard(self.shards, self.params))
+        stack = make_stack(self.kind, self.params)
         stack.run(self._setup(stack.client), name="setup")
         stack.quiesce()
         return stack
@@ -180,12 +176,10 @@ def run_syscall_table(
     ops: Optional[List[str]] = None,
     warm: bool = False,
     params: Optional[TestbedParams] = None,
-    shards: int = 0,
 ) -> Dict[int, Dict[str, Dict[str, int]]]:
     """Compute a Table 2 (cold) or Table 3 (warm) equivalent.
 
-    Returns ``{depth: {op: {kind: messages}}}``.  ``shards=1`` builds
-    every stack on a one-shard calendar (byte-identical placement check).
+    Returns ``{depth: {op: {kind: messages}}}``.
     """
     ops = ops if ops is not None else list(SYSCALL_OPS)
     table: Dict[int, Dict[str, Dict[str, int]]] = {}
@@ -194,7 +188,7 @@ def run_syscall_table(
         for op in ops:
             row: Dict[str, int] = {}
             for kind in kinds:
-                bench = SyscallMicrobench(kind, depth, params, shards=shards)
+                bench = SyscallMicrobench(kind, depth, params)
                 if warm:
                     row[kind] = bench.measure_warm(op)
                 else:

@@ -49,14 +49,12 @@ class SeqRandWorkload:
         params: Optional[TestbedParams] = None,
         rtt: Optional[float] = None,
         seed: int = 42,
-        shards: int = 0,
     ):
         self.kind = kind
         self.file_bytes = file_mb * 1024 * 1024
         self.chunk = chunk
         self.params = params
         self.rtt = rtt
-        self.shards = shards
         self.rng = random.Random(seed)
 
     @property
@@ -64,10 +62,7 @@ class SeqRandWorkload:
         return self.file_bytes // self.chunk
 
     def _stack(self) -> StorageStack:
-        from ..core.comparison import placement_shard
-
-        stack = make_stack(self.kind, self.params,
-                           sim=placement_shard(self.shards, self.params))
+        stack = make_stack(self.kind, self.params)
         if self.rtt is not None:
             stack.set_rtt(self.rtt)
         return stack

@@ -732,7 +732,7 @@ def _pinger(sim, log, tag):
     return sim.now
 
 
-# The five run entry points.  Each drives a simulator on from its
+# The four run entry points.  Each drives a simulator on from its
 # current state with one more process, spawned or awaited.
 def _run(sim, proc):
     sim.spawn(proc, name="b")
@@ -752,21 +752,14 @@ def _run_process_until(sim, proc):
     return sim.run_process(proc, name="b", until=sim.now + 1.2)
 
 
-def _run_window(sim, proc):
-    sim.spawn(proc, name="b")
-    start = sim.now
-    return [sim.run_window(start + horizon) for horizon in (1.1, 2.1, 9.9)]
-
-
 @pytest.mark.parametrize("drive, recorded", [
     (_run, False),
     (_run_until, False),
     (_run_process, False),
     (_run_process_until, False),
-    (_run_window, False),
     (_run_process, True),
 ], ids=["run", "run_until", "run_process", "run_process_until",
-        "run_window", "run_process_recorder"])
+        "run_process_recorder"])
 def test_checked_simulator_matches_plain_kernel(drive, recorded):
     """Every run entry point dispatches the same events under the
     sanitizer, and flags a record forged in the past (S403) -- also with
@@ -797,15 +790,3 @@ def test_checked_simulator_matches_plain_kernel(drive, recorded):
 def test_finding_equality():
     assert Finding("S401", "x") == Finding("S401", "x")
     assert Finding("S401", "x") != Finding("S402", "x")
-
-
-def test_checked_run_window_flags_order_regression():
-    """schedule_at below the already-dispatched frontier is an S403."""
-    sim = CheckedSimulator()
-    sim.schedule_at(1.0, lambda _p: None, None)
-    sim.run_window(2.0)
-    # Forge a record behind the frontier the checker already saw.
-    sim._last_when = 5.0
-    sim.schedule_at(3.0, lambda _p: None, None)
-    sim.run_window(10.0)
-    assert any(f.code == "S403" for f in sim.order_findings)

@@ -179,42 +179,3 @@ def test_cli_fig3_runs(capsys):
 def test_cli_sec7_runs(capsys):
     assert main(["sec7"]) == 0
     assert "reduction" in capsys.readouterr().out
-
-
-def test_cli_quick_shards1_is_byte_identical(capsys):
-    """The placement contract: --shards 1 rebuilds every stack on a
-    one-shard calendar and the table must not change by one byte."""
-    assert main(["quick"]) == 0
-    plain = capsys.readouterr().out
-    assert main(["quick", "--shards", "1"]) == 0
-    assert capsys.readouterr().out == plain
-
-
-def test_cli_scale_reference_matches_shards1(capsys, tmp_path):
-    """stdout prints only partition-invariant metrics, so the flat
-    reference kernel and a one-shard sweep emit identical bytes (the
-    CI scale-smoke cmp)."""
-    argv = ["scale", "--clients", "16", "--groups", "4",
-            "--requests", "5"]
-    assert main(argv + ["--reference"]) == 0
-    reference = capsys.readouterr().out
-    assert "completed=" in reference
-    out_file = tmp_path / "BENCH_scale.json"
-    assert main(argv + ["--shards", "1", "2", "--repeat", "1",
-                        "--executor", "sequential",
-                        "--out", str(out_file)]) == 0
-    assert capsys.readouterr().out == reference
-
-    import json as json_module
-
-    document = json_module.loads(out_file.read_text())
-    assert document["config"]["clients"] == 16
-    assert [point["shards"] for point in document["points"]] == [1, 2]
-    assert document["points"][0]["speedup_vs_1"] == 1.0
-    assert document["points"][1]["ideal_speedup"] > 1.0
-    assert document["host"]["cpus"] >= 1
-
-
-def test_cli_scale_rejects_indivisible_clients(capsys):
-    assert main(["scale", "--clients", "10", "--groups", "4",
-                 "--reference"]) == 2

@@ -1,7 +1,8 @@
-"""The server-farm storm: partition invariance, queueing laws, CLI, schema."""
+"""The server-farm storm: committed points, queueing laws, CLI, schema."""
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -10,12 +11,6 @@ from repro import cli
 from repro.obs.bench import (SCALE_SCHEMA_VERSION, compare_scale_documents,
                              load_bench)
 from repro.sim.farm import FARM_PROTOCOLS, run_farm
-
-
-def _invariant(result):
-    trimmed = dict(result)
-    trimmed.pop("report")
-    return trimmed
 
 
 # -- the storm itself ----------------------------------------------------------
@@ -39,26 +34,26 @@ def test_farm_validates_parameters():
     assert FARM_PROTOCOLS == ("nfs", "iscsi")
 
 
-@pytest.mark.parametrize("protocol", FARM_PROTOCOLS)
-def test_farm_outcome_is_partition_invariant(protocol):
-    """The byte-identity contract: flat reference, one shard, and a
-    parallel partitioning all produce the identical simulated outcome."""
-    kwargs = dict(protocol=protocol, nclients=10, nservers=3, connections=2,
-                  sharing=0.3, requests=5)
-    reference = _invariant(run_farm(nshards=0, **kwargs))
-    assert _invariant(run_farm(nshards=1, executor="sequential",
-                               **kwargs)) == reference
-    assert _invariant(run_farm(nshards=2, executor="sequential",
-                               **kwargs)) == reference
-    assert _invariant(run_farm(nshards=3, executor="fork", jobs=2,
-                               **kwargs)) == reference
+def test_flat_farm_reproduces_committed_points():
+    """The 64-client points of the committed BENCH_scale.json, field for
+    field: the farm's numbers are pinned here, not only in CI."""
+    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
+    points = [point for point in load_bench(path)["points"]
+              if point["clients"] == 64]
+    assert len(points) == 8
+    for point in points:
+        result = run_farm(protocol=point["protocol"], nclients=64,
+                          nservers=point["servers"],
+                          connections=point["connections"],
+                          sharing=point["sharing"], requests=20)
+        for field, value in point.items():
+            if field != "id":
+                assert result[field] == value, (point["id"], field)
 
 
 def test_farm_nfs_pays_layout_round_trips_and_iscsi_does_not():
-    nfs = run_farm(protocol="nfs", nclients=8, nservers=2, requests=6,
-                   nshards=0)
-    block = run_farm(protocol="iscsi", nclients=8, nservers=2, requests=6,
-                     nshards=0)
+    nfs = run_farm(protocol="nfs", nclients=8, nservers=2, requests=6)
+    block = run_farm(protocol="iscsi", nclients=8, nservers=2, requests=6)
     assert nfs["layout_gets"] > 0
     assert block["layout_gets"] == 0
     # Same I/O count, but NFS additionally pays the metadata messages.
@@ -70,7 +65,7 @@ def test_farm_littles_law_holds_at_saturation():
     """At a saturated server the queue builds, and the queue-length
     integral equals the summed waits (Little's law, exact in the DES)."""
     result = run_farm(protocol="nfs", nclients=64, nservers=1,
-                      connections=1, requests=4, nshards=0, think=0.0005)
+                      connections=1, requests=4, think=0.0005)
     row = result["per_server"][0]
     assert row["utilization"] > 0.9
     assert row["mean_queue"] > 5.0
@@ -82,16 +77,15 @@ def test_farm_mcs_connections_raise_throughput():
     """More channels per client -> more overlap -> higher throughput,
     the effect MC/S exists for."""
     one = run_farm(protocol="iscsi", nclients=16, nservers=4,
-                   connections=1, requests=8, nshards=0)
+                   connections=1, requests=8)
     four = run_farm(protocol="iscsi", nclients=16, nservers=4,
-                    connections=4, requests=8, nshards=0)
+                    connections=4, requests=8)
     assert four["makespan"] < one["makespan"]
     assert four["throughput"] > one["throughput"]
 
 
 def test_farm_striping_spreads_load():
-    result = run_farm(protocol="nfs", nclients=12, nservers=4, requests=6,
-                      nshards=0)
+    result = run_farm(protocol="nfs", nclients=12, nservers=4, requests=6)
     assert len(result["per_server"]) == 4
     assert all(row["io_served"] > 0 for row in result["per_server"])
     # Only the MDS (server 0) answers LAYOUTGET.
@@ -110,38 +104,22 @@ def _run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-FARM_ARGS = ["scale", "--farm", "--protocol", "nfs", "--nclients", "6",
+FARM_ARGS = ["scale", "--protocol", "nfs", "--nclients", "6",
              "--servers", "2", "--connections", "2", "--requests", "4"]
 
 
 def test_cli_farm_validation_exit_codes():
     cases = [
-        ["scale", "--farm", "--nclients", "0"],
-        ["scale", "--farm", "--servers", "0"],
-        ["scale", "--farm", "--connections", "-1"],
-        ["scale", "--farm", "--sharing", "1.5"],
-        ["scale", "--farm", "--shards", "0"],
+        ["scale", "--nclients", "0"],
+        ["scale", "--servers", "0"],
+        ["scale", "--connections", "-1"],
+        ["scale", "--sharing", "1.5"],
+        ["scale", "--requests", "0"],
     ]
     for argv in cases:
         code, _out, err = _run_cli(argv)
         assert code == 2, argv
         assert "must be" in err, argv
-
-
-def test_cli_farm_reference_matches_shards_1(tmp_path):
-    """The CI gate: --reference stdout is byte-identical to --shards 1."""
-    code, ref_out, _ = _run_cli(FARM_ARGS + ["--reference"])
-    assert code == 0
-    out_file = str(tmp_path / "farm.json")
-    code, sweep_out, _ = _run_cli(FARM_ARGS + ["--shards", "1",
-                                               "--out", out_file])
-    assert code == 0
-    assert ref_out == sweep_out
-    document = load_bench(out_file)
-    assert document["schema"] == SCALE_SCHEMA_VERSION
-    assert document["kind"] == "farm"
-    assert len(document["points"]) == 1
-    assert document["points"][0]["id"] == "nfs/s2/x2/n6"
 
 
 def test_cli_farm_document_compares_exactly(tmp_path):
@@ -154,6 +132,10 @@ def test_cli_farm_document_compares_exactly(tmp_path):
     assert "identical" in out
 
     document = load_bench(second)
+    assert document["schema"] == SCALE_SCHEMA_VERSION
+    assert document["kind"] == "farm"
+    assert len(document["points"]) == 1
+    assert document["points"][0]["id"] == "nfs/s2/x2/n6"
     document["points"][0]["messages"] += 1
     with open(second, "w") as handle:
         json.dump(document, handle)
@@ -170,7 +152,7 @@ def test_cli_farm_document_compares_exactly(tmp_path):
 def test_cli_farm_series_reports_scaling_laws(tmp_path):
     out_file = str(tmp_path / "farm.json")
     code, _out, _err = _run_cli(
-        ["scale", "--farm", "--protocol", "nfs", "--nclients", "4", "16",
+        ["scale", "--protocol", "nfs", "--nclients", "4", "16",
          "--servers", "2", "--connections", "1", "--requests", "4",
          "--out", out_file])
     assert code == 0

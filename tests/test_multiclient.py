@@ -12,8 +12,10 @@ def test_rejects_iscsi_and_single_client():
         SharedNfsTestbed(nclients=1)
 
 
-def test_two_clients_see_one_namespace():
-    bed = SharedNfsTestbed(nclients=2, kind="nfsv3")
+def _share_a_namespace(kind):
+    """A writes a file; B stats it and lists its directory.  Returns
+    B's view and the protocol requests both clients sent."""
+    bed = SharedNfsTestbed(nclients=2, kind=kind)
     a, b = bed.clients
 
     def work():
@@ -26,9 +28,23 @@ def test_two_clients_see_one_namespace():
         return st.size, names
 
     size, names = bed.run(work())
+    bed.quiesce()
+    return size, names, bed.total_messages
+
+
+def test_two_clients_see_one_namespace():
+    size, names, _messages = _share_a_namespace("nfsv3")
     assert size == 12_000
     assert names == ["doc"]
-    bed.quiesce()
+
+
+def test_nfsv2_clients_share_a_namespace():
+    """The same sharing over NFS v2's UDP mount (lossy transport,
+    retransmit policy)."""
+    size, names, messages = _share_a_namespace("nfsv2")
+    assert size == 12_000
+    assert names == ["doc"]
+    assert messages == 12
 
 
 def test_writer_update_visible_after_attr_timeout():
@@ -202,100 +218,3 @@ def test_per_server_message_and_callback_accounting():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         SharedNfsTestbed(nservers=0)
-    with pytest.raises(ValueError):
-        SharedNfsTestbed(shards=0)
-    with pytest.raises(TypeError):   # windows always run sequentially
-        SharedNfsTestbed(shards=2, executor="fork")
-    with pytest.raises(ValueError, match="UDP"):
-        SharedNfsTestbed(kind="nfsv2", shards=2)   # v2 rides lossy UDP
-
-
-def test_sharded_bed_rejects_single_calendar_run():
-    with SharedNfsTestbed(nclients=2, shards=2) as bed:
-        with pytest.raises(RuntimeError, match="run_phase"):
-            bed.run(iter(()))
-
-
-# -- sharded placement: same testbed, partitioned calendars --------------------
-
-
-def _drive_phases(bed):
-    """One independent writer per client, then a full quiesce.  Returns
-    every partition-invariant observable the bed exposes."""
-    sizes = {}
-
-    def make(index, client):
-        def work():
-            fd = yield from client.creat("/f%d" % index)
-            yield from client.write(fd, (index + 1) * 4096)
-            yield from client.close(fd)
-            st = yield from client.stat("/f%d" % index)
-            sizes[index] = st.size
-            return None
-        return work
-
-    for index, client in enumerate(bed.clients):
-        bed.add_workload(index, make(index, client))
-    bed.run_phase()
-    bed.quiesce()
-    bed.close()
-    return (sorted(sizes.items()), bed.total_messages,
-            bed.messages_by_server, bed.callbacks_by_server)
-
-
-def test_sharded_testbed_matches_unsharded():
-    """The tentpole contract at the protocol level: partitioning the
-    testbed over shards (transport = the shard boundary) changes no
-    observable — sizes, message counts, per-server traffic."""
-    reference = _drive_phases(SharedNfsTestbed(nclients=4, nservers=2))
-    assert reference[0] == [(0, 4096), (1, 8192), (2, 12288), (3, 16384)]
-    for shards in (2, 3):
-        bed = SharedNfsTestbed(nclients=4, nservers=2, shards=shards)
-        assert _drive_phases(bed) == reference
-
-
-def test_more_shards_than_clients_degenerates_cleanly():
-    """shards > nclients leaves some shards empty; the barrier still
-    aligns them and the run is unchanged."""
-    reference = _drive_phases(SharedNfsTestbed(nclients=4, nservers=2))
-    bed = SharedNfsTestbed(nclients=4, nservers=2, shards=6)
-    assert _drive_phases(bed) == reference
-
-
-def _drive_callbacks(bed):
-    a, b = bed.clients
-
-    def create():
-        fd = yield from a.creat("/f")
-        yield from a.close(fd)
-        return None
-
-    def peek():
-        yield from b.stat("/f")
-        return None
-
-    def mutate():
-        yield from a.chmod("/f", 0o600)
-        return None
-
-    bed.add_workload(0, create, phase="create")
-    bed.run_phase("create")
-    bed.quiesce()
-    bed.add_workload(1, peek, phase="peek")
-    bed.run_phase("peek")
-    bed.add_workload(0, mutate, phase="mutate")
-    bed.run_phase("mutate")
-    bed.quiesce()
-    bed.close()
-    return bed.callbacks_sent, bed.total_messages
-
-
-def test_enhanced_invalidation_crosses_shards():
-    """Section-7 callbacks genuinely travel between shards: a sharded
-    nfs-enhanced bed fires the same invalidations as the flat one."""
-    reference = _drive_callbacks(
-        SharedNfsTestbed(nclients=2, kind="nfs-enhanced"))
-    assert reference[0] >= 1
-    sharded = _drive_callbacks(
-        SharedNfsTestbed(nclients=2, kind="nfs-enhanced", shards=2))
-    assert sharded == reference

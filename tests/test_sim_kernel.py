@@ -456,47 +456,3 @@ def test_store_parked_getter_receives_item(sim):
     sim.run()
     # FIFO hand-off: oldest parked getter gets the oldest item.
     assert received == [("g1", "a", 1.0), ("g2", "b", 1.0)]
-
-
-def test_peek_reports_next_when_without_popping(sim):
-    assert sim.peek() is None
-
-    def proc():
-        yield sim.timeout(2.0)
-
-    sim.spawn(proc())
-    assert sim.peek() == 0.0           # the spawn record fires at t=0
-    sim.run_window(1.0)
-    assert sim.peek() == 2.0           # the parked timeout
-    assert sim.peek() == 2.0           # read-only: repeated peeks agree
-    sim.run()
-    assert sim.peek() is None
-
-
-def test_schedule_at_lands_on_exact_float(sim):
-    """Cross-shard injection path: the absolute `when` must survive
-    unchanged (a relative delay could lose low bits to rounding)."""
-    fired = []
-    when = 0.30000000000000004          # 0.1 + 0.2: not representable
-    sim.schedule_at(when, fired.append, "payload")
-    sim.run()
-    assert fired == ["payload"]
-    assert sim.now == when
-
-
-def test_run_window_counts_dispatched_records(sim):
-    ticks = []
-
-    def ticker():
-        for _ in range(4):
-            yield sim.timeout(1.0)
-            ticks.append(sim.now)
-
-    sim.spawn(ticker())
-    # Window [0, 2.5): the spawn record plus the ticks at 1.0 and 2.0.
-    assert sim.run_window(2.5) == 3
-    assert ticks == [1.0, 2.0]
-    # The ticks at 3.0 and 4.0 plus the process-completion record.
-    assert sim.run_window(10.0) == 3
-    assert ticks == [1.0, 2.0, 3.0, 4.0]
-    assert sim.run_window(20.0) == 0
