@@ -258,7 +258,7 @@ class SimSan:
         sim = self.stack.sim
         findings: List[Finding] = []
         processes = getattr(sim, "san_processes", None)
-        if processes is None or sim._calendar:
+        if processes is None or sim.pending():
             return findings
         survivors = [proc for proc in processes if not proc.triggered]
         for proc in survivors:

@@ -174,7 +174,7 @@ class RpcPeer:
         current = request
         try:
             for wait in self.retransmit.schedule():
-                timer = self.sim.timeout(wait)
+                timer = self.sim.lane_timeout(wait)
                 winner, value = yield self.sim.any_of([reply_event, timer])
                 if winner is reply_event:
                     if current is not request:

@@ -526,7 +526,7 @@ class Telemetry:
             hb = self.heartbeat
             if hb is not None:
                 hb.maybe_beat(sim_now=now, events=sim._sequence,
-                              calendar=len(sim._calendar))
+                              calendar=len(sim.pending()))
 
     # -- watchers -------------------------------------------------------------
 

@@ -9,7 +9,6 @@ from .kernel import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -22,7 +21,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "LatencyHistogram",
     "Process",
     "Resource",

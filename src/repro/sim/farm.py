@@ -193,7 +193,7 @@ def run_farm(protocol: str = "nfs", nclients: int = 64, nservers: int = 1,
     finishes = sorted(sink)
     # Every calendar push bumps _sequence: pushes minus leftovers is the
     # number of records dispatched.
-    records = sim._sequence - len(sim._calendar)
+    records = sim._sequence - len(sim.pending())
     server_rows = [_server_row(server_id, resource, counts, server_capacity)
                    for server_id, (resource, counts) in enumerate(servers)]
 

@@ -21,16 +21,48 @@ unique, so heap comparisons never reach ``kind`` — the firing order is
 exactly the ``(when, seq)`` contract the experiments rely on.  All
 per-event classes use ``__slots__``.
 
+The calendar is three structures, so that the binary heap holds only
+the records whose order is not known when they are scheduled:
+
+* the *heap* (``_calendar``), keyed by ``(when, seq)``;
+* the *FIFO* (``_fifo``) of records scheduled for the current instant:
+  ``Event.trigger``/``fail``, a late ``add_callback``, a process spawn,
+  ``unpark`` and a resource grant.  They carry ``when == now`` and
+  rising ``seq``, so they arrive in order and cost a deque append and
+  pop instead of a heap push and pop.  The clock cannot advance while
+  the FIFO holds records: they have the smallest keys;
+* the *lanes* (``_lanes``), one FIFO per :meth:`Simulator.lane_timeout`
+  delay.  Timers armed with one delay are created in ``(when, seq)``
+  order, so only a lane's head waits on the heap, and dispatching it
+  pushes the next.  A lane record is an event record whose payload is
+  its lane.  The RPC retransmission timers are the one user: each call
+  arms one, and it stays pending for a second after the reply, so on
+  the heap they were nearly all of an NFS run's pending records.
+
+The loop takes the FIFO head unless the heap top compares smaller on
+the same ``(when, seq)`` key (a ``timeout(0)``, or a record stamped now
+but scheduled before the FIFO head), so it dispatches exactly the stream
+a single heap would: the same records, keys and count.  The contract
+with the code outside the loop: whenever a run entry point returns,
+normally or by exception, the heap again holds every pending record,
+because the loop's ``finally`` puts the FIFO and the lane tails back
+(:meth:`Simulator._restore`).  After a run, ``_sequence -
+len(_calendar)`` is therefore the number of records dispatched.
+Records scheduled for the current instant *between* runs wait on the
+FIFO until the next run; :meth:`Simulator.pending` lists every pending
+record, wherever it waits.
+
 One loop, :meth:`Simulator._drain`, dispatches every record.  The run
 entry points differ only in where they stop, so each one hands the loop
 a *strict* horizon — ``math.inf`` for an unbounded run, the float just
 above an inclusive ``until`` — plus a process whose completion also
-stops it, and sets the clock itself afterwards.  The loop pops first
-and compares afterwards, pushing the one overshooting record back:
-keys are unique, so the push-back changes no later pop order, and a
-drain pays it once, whereas peeking at ``calendar[0]`` before every pop
-costs an index per record.  The per-record observer (flight recorder,
-sanitizer order check) is looked up once per drain.
+stops it, and sets the clock itself afterwards.  Only heap records can
+reach the horizon: FIFO records are due now, before it.  The loop pops
+first and compares afterwards, pushing the one overshooting record
+back: keys are unique, so the push-back changes no later pop order, and
+a drain pays it once, whereas peeking at ``calendar[0]`` before every
+pop costs an index per record.  The per-record observer (flight
+recorder, sanitizer order check) is looked up once per drain.
 
 A resource hold (:meth:`repro.sim.resources.Resource.use`) costs its
 calendar records and nothing more: no generator, no gate
@@ -82,8 +114,11 @@ Example
 from __future__ import annotations
 
 import math
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
+                    Optional, Tuple)
 
 __all__ = [
     "Event",
@@ -91,19 +126,20 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "SimulationError",
     "Simulator",
 ]
 
-# Calendar record kinds (index 2 of each record).  The run loop tests
-# them in this order, except that the rare throws come last.  A release
-# record ends a resource hold: its payload is the Resource, which does the
-# release accounting and then resumes the target process.
+# Calendar record kinds (index 2 of each record), in the order the run
+# loop tests them.  A release record ends a resource hold: its payload is
+# the Resource, which does the release accounting and then resumes the
+# target process.  Kind 3 is retired (it threw into a process), so the
+# numbers in flight-recorder dumps keep their meaning.  An event record's
+# payload is None, except on a lane timer (Simulator.lane_timeout), where
+# it is the timer's lane.
 _KIND_EVENT = 0    # target: Event      -> target._process()
 _KIND_CALL1 = 1    # target: callable   -> target(payload)
 _KIND_RESUME = 2   # target: Process    -> target._resume(payload, None)
-_KIND_THROW = 3    # target: Process    -> target._resume(None, payload)
 _KIND_RELEASE = 4  # target: Process    -> payload._end_hold(target)
 
 # Sentinel yielded by Simulator.hold(): the resume record is already on
@@ -113,17 +149,6 @@ _HOLD = object()
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. running a finished simulator)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -159,7 +184,7 @@ class Event:
         self.value = value
         sim = self.sim
         sim._sequence = seq = sim._sequence + 1
-        heappush(sim._calendar, (sim.now, seq, _KIND_EVENT, self, None))
+        sim._fifo.append((sim.now, seq, _KIND_EVENT, self, None))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -173,7 +198,7 @@ class Event:
         self.value = exc
         sim = self.sim
         sim._sequence = seq = sim._sequence + 1
-        heappush(sim._calendar, (sim.now, seq, _KIND_EVENT, self, None))
+        sim._fifo.append((sim.now, seq, _KIND_EVENT, self, None))
         return self
 
     # -- waiting ------------------------------------------------------------
@@ -188,7 +213,7 @@ class Event:
         if self._callbacks is None:  # already processed
             sim = self.sim
             sim._sequence = seq = sim._sequence + 1
-            heappush(sim._calendar, (sim.now, seq, _KIND_CALL1, callback, self))
+            sim._fifo.append((sim.now, seq, _KIND_CALL1, callback, self))
         else:
             self._callbacks.append(callback)
 
@@ -245,20 +270,11 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         sim._sequence = seq = sim._sequence + 1
-        heappush(sim._calendar, (sim.now, seq, _KIND_RESUME, self, None))
+        sim._fifo.append((sim.now, seq, _KIND_RESUME, self, None))
 
     @property
     def is_alive(self) -> bool:
         return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self.triggered:
-            return
-        sim = self.sim
-        sim._sequence = seq = sim._sequence + 1
-        heappush(sim._calendar,
-                 (sim.now, seq, _KIND_THROW, self, Interrupt(cause)))
 
     # -- internal stepping ---------------------------------------------------
 
@@ -376,13 +392,20 @@ class AllOf(Event):
 class Simulator:
     """The event calendar, virtual clock, and process spawner."""
 
-    __slots__ = ("now", "_calendar", "_sequence", "_unhandled",
-                 "_active_process", "tracer", "telemetry", "recorder",
-                 "san", "fault")
+    __slots__ = ("now", "_calendar", "_fifo", "_lanes", "_sequence",
+                 "_unhandled", "_active_process", "tracer", "telemetry",
+                 "recorder", "san", "fault")
 
     def __init__(self):
         self.now: float = 0.0
+        # The three structures of the calendar (see the module docstring):
+        # the heap, the FIFO of records due at the current instant, and
+        # the lanes of lane_timeout, keyed by delay.  Between runs the
+        # heap holds every pending record but those scheduled for the
+        # current instant since the last run returned.
         self._calendar: List[Tuple[float, int, int, Any, Any]] = []
+        self._fifo: Deque[Tuple[float, int, int, Any, Any]] = deque()
+        self._lanes: Dict[float, Deque[Tuple[float, int, int, Any, Any]]] = {}
         self._sequence = 0
         self._unhandled: List[Event] = []
         self._active_process: Optional["Process"] = None
@@ -407,6 +430,57 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def lane_timeout(self, delay: float, value: Any = None) -> Timeout:
+        """A :meth:`timeout` for a delay that is armed again and again.
+
+        The timer is the :class:`Timeout` that ``timeout(delay, value)``
+        would create, in the same ``(when, seq)`` slot.  Timers armed
+        with one delay are created in ``(when, seq)`` order (the clock
+        never moves back and float addition is monotone), so they wait in
+        a FIFO lane per delay with only the lane's head on the calendar
+        heap: a run that keeps many of them pending, such as the RPC
+        retransmission timers that outlive their replies, keeps the heap
+        shallow.  For one-off delays use :meth:`timeout`: each delay's
+        lane lives as long as the simulator.
+        """
+        lane = self._lanes.get(delay)
+        if lane is None:
+            if delay < 0:
+                raise ValueError("negative delay: %r" % (delay,))
+            lane = self._lanes[delay] = deque()
+        timer = Timeout.__new__(Timeout)
+        timer.sim = self
+        timer.triggered = True
+        timer.ok = True
+        timer.value = value
+        timer._callbacks = []
+        timer.defused = False
+        timer.delay = delay
+        self._sequence = seq = self._sequence + 1
+        record = (self.now + delay, seq, _KIND_EVENT, timer, lane)
+        lane.append(record)
+        if len(lane) == 1:
+            heappush(self._calendar, record)
+        return timer
+
+    def pending(self) -> List[Tuple[float, int, int, Any, Any]]:
+        """The records not yet dispatched, in ``(when, seq)`` order.
+
+        A fresh list of ``(when, seq, kind, target, payload)`` records
+        from the heap, the FIFO and the lane tails; its length is the
+        calendar depth, ``sim._sequence`` minus the records dispatched so
+        far.  Records scheduled for the current instant outside a run
+        wait on the FIFO until the next run, so read them here rather
+        than on ``_calendar``.
+        """
+        records = list(self._calendar)
+        records.extend(self._fifo)
+        for lane in self._lanes.values():
+            records.extend((when, seq, kind, timer, None)
+                           for when, seq, kind, timer, _ in islice(lane, 1, None))
+        records.sort()
+        return records
 
     def hold(self, delay: float) -> Any:
         """Sleep the *currently running* process for ``delay``; no Event.
@@ -455,7 +529,7 @@ class Simulator:
         hand-off it replaces.
         """
         self._sequence = seq = self._sequence + 1
-        heappush(self._calendar, (self.now, seq, _KIND_RESUME, proc, value))
+        self._fifo.append((self.now, seq, _KIND_RESUME, proc, value))
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""
@@ -540,32 +614,73 @@ class Simulator:
         after ``horizon`` (that record stays on the calendar).  The clock
         follows the dispatched records and never moves backwards; the
         observer sees each record after the clock update, before its
-        target runs.
+        target runs.  However it returns, the heap again holds every
+        pending record (:meth:`_restore`).
         """
         calendar = self._calendar
+        fifo = self._fifo
         pop = heappop
+        push = heappush
+        take = fifo.popleft
         observe = self._observer()
-        while calendar and not proc.triggered:
-            record = pop(calendar)
-            when, _, kind, target, payload = record
-            if when >= horizon:
-                heappush(calendar, record)
-                break
-            if when > self.now:
-                self.now = when
-            if observe is not None:
-                observe(record)
-            if kind == 0:
-                target._process()
-            elif kind == 1:
-                target(payload)
-            elif kind == 2:
-                target._resume(payload, None)
-            elif kind == 4:
-                payload._end_hold(target)
-            else:
-                target._resume(None, payload)
+        try:
+            while not proc.triggered:
+                if fifo:
+                    # Due now: the FIFO head, unless the heap holds an
+                    # earlier record (a timeout(0), or one stamped now
+                    # before the FIFO head was scheduled).
+                    record = take()
+                    if calendar and calendar[0] < record:
+                        fifo.appendleft(record)
+                        record = pop(calendar)
+                    _, _, kind, target, payload = record
+                elif calendar:
+                    record = pop(calendar)
+                    when, _, kind, target, payload = record
+                    if when >= horizon:
+                        push(calendar, record)
+                        break
+                    if when > self.now:
+                        self.now = when
+                else:
+                    break
+                if observe is not None:
+                    observe(record)
+                if kind == 0:
+                    if payload is not None:
+                        # A lane head: the lane's next timer takes its
+                        # place on the heap.
+                        payload.popleft()
+                        if payload:
+                            push(calendar, payload[0])
+                    target._process()
+                elif kind == 1:
+                    target(payload)
+                elif kind == 2:
+                    target._resume(payload, None)
+                else:
+                    payload._end_hold(target)
+        finally:
+            self._restore()
         self._raise_unhandled()
+
+    def _restore(self) -> None:
+        """Put the FIFO and the lane tails back onto the heap.
+
+        Code that counts the records dispatched by a run as ``_sequence
+        - len(_calendar)`` relies on this.  A tail goes back as a plain
+        event record (``None`` payload); the lane keeps its head, which
+        is already on the heap and still advances the lane when it
+        fires.
+        """
+        calendar = self._calendar
+        fifo = self._fifo
+        while fifo:
+            heappush(calendar, fifo.popleft())
+        for lane in self._lanes.values():
+            while len(lane) > 1:
+                when, seq, kind, timer, _ = lane.pop()
+                heappush(calendar, (when, seq, kind, timer, None))
 
     def _raise_unhandled(self) -> None:
         if not self._unhandled:

@@ -1,10 +1,11 @@
 """Kernel micro-benchmarks: tight synthetic loads on the hot paths.
 
-Three storms exercise the three costs the kernel optimization targets —
+Four storms exercise the costs the kernel optimization targets —
 calendar churn (:func:`event_storm`), process spawn/teardown
-(:func:`spawn_storm`), and contended resource hand-off
-(:func:`resource_storm`).  Each returns the number of calendar records it
-dispatched, so a harness can report events/second.
+(:func:`spawn_storm`), contended resource hand-off
+(:func:`resource_storm`), and a deep calendar of RPC retransmission
+timers that outlive their replies (:func:`rpc_storm`).  Each returns the
+number of operations it ran, so a harness can report a rate.
 
 They are deliberately *simulated-time* workloads measured in *wall-clock*
 time: the simulation outcome is deterministic (same final ``sim.now``,
@@ -23,8 +24,8 @@ from typing import Any, Callable, Dict, Tuple
 from .kernel import Simulator
 from .resources import Resource
 
-__all__ = ["event_storm", "spawn_storm", "resource_storm", "MICROBENCHES",
-           "time_callable"]
+__all__ = ["event_storm", "spawn_storm", "resource_storm", "rpc_storm",
+           "MICROBENCHES", "time_callable"]
 
 
 def event_storm(events: int = 50_000) -> int:
@@ -70,11 +71,36 @@ def resource_storm(workers: int = 50, rounds: int = 200) -> int:
     return workers * rounds
 
 
+def rpc_storm(callers: int = 4, calls: int = 2_500) -> int:
+    """``callers`` RPC clients whose retransmit timers outlive the replies.
+
+    Each call arms a 1.1 s lane timer, as ``RpcPeer`` does, and waits on
+    ``any_of([reply, timer])`` for a reply 1 ms later; each caller then
+    thinks for 3 ms.  About 1,100 stale timers stay pending, the depth of
+    the calendar during an NFS run.
+    """
+    sim = Simulator()
+
+    def caller():
+        for _ in range(calls):
+            reply = sim.event()
+            timer = sim.lane_timeout(1.1)
+            sim._schedule_call1(reply.trigger, None, 0.001)
+            yield sim.any_of([reply, timer])
+            yield sim.hold(0.003)
+
+    for index in range(callers):
+        sim.spawn(caller(), name="caller%d" % index)
+    sim.run()
+    return callers * calls
+
+
 # name -> (callable, kwargs): the suite perf_smoke times.
 MICROBENCHES: Dict[str, Tuple[Callable[..., int], Dict[str, Any]]] = {
     "event_storm": (event_storm, {"events": 50_000}),
     "spawn_storm": (spawn_storm, {"processes": 5_000}),
     "resource_storm": (resource_storm, {"workers": 50, "rounds": 200}),
+    "rpc_storm": (rpc_storm, {"callers": 4, "calls": 2_500}),
 }
 
 

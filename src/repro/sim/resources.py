@@ -46,14 +46,14 @@ for, the hold sentinel otherwise.  The result is never dropped (simlint
 P203) and the call is never handed to ``sim.spawn``, which would do its
 work at spawn time rather than at the new process's first resume.  A
 hold cannot be cut short: the unit is released when the hold's record
-fires, even if the process was interrupted in the meantime.
+fires.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple
 
 from .kernel import (_HOLD, _KIND_CALL1, _KIND_RELEASE, Process,
                      SimulationError, Simulator)
@@ -181,10 +181,11 @@ class Resource:
         tracker._in_service -= 1
         if self._waiters:
             # The grant record takes the (when, seq) slot that triggering
-            # a per-waiter gate Event here would.
+            # a per-waiter gate Event here would, on the kernel's FIFO of
+            # records due now.
             sim._sequence = seq = sim._sequence + 1
-            heappush(sim._calendar, (now, seq, _KIND_CALL1, self._grant,
-                                     self._waiters.popleft()))
+            sim._fifo.append((now, seq, _KIND_CALL1, self._grant,
+                              self._waiters.popleft()))
         else:
             self.available += 1
 

@@ -353,10 +353,10 @@ def test_readahead_scans_the_cache_at_its_first_resume(sim):
     fs.cache.invalidate_all()
     fs._maybe_readahead(inode, 0, 0)        # the first read is not sequential
     assert not any(record[3].name == "ext3.readahead"
-                   for record in sim._calendar if record[2] == 2)
+                   for record in sim.pending() if record[2] == 2)
     misses = fs.cache.stats.misses
     fs._maybe_readahead(inode, 1, 1)
-    spawned = [record[3] for record in sim._calendar
+    spawned = [record[3] for record in sim.pending()
                if record[2] == 2 and record[3].name == "ext3.readahead"]
     assert len(spawned) == 1
     generator = spawned[0]._generator

@@ -1,6 +1,9 @@
 """Tests on the public API surface and documentation contract."""
 
+import importlib
 import inspect
+import pkgutil
+import typing
 
 import pytest
 
@@ -63,6 +66,41 @@ def test_public_classes_are_documented():
                                 "%s.%s.%s" % (package.__name__, name,
                                               method_name))
     assert not undocumented, undocumented
+
+
+def _defined_callables(module):
+    """Classes and functions defined in ``module``, with class methods."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for member_name, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield "%s.%s" % (name, member_name), member
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` works on everything the package defines:
+    an annotation naming something the module never imports is a bug
+    that ``from __future__ import annotations`` hides until then."""
+    unresolved = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in _defined_callables(module):
+            try:
+                typing.get_type_hints(obj)
+            except Exception as error:
+                unresolved.append("%s.%s: %r" % (module.__name__, name, error))
+    assert not unresolved, unresolved
 
 
 def test_cli_enumerates_every_subcommand():

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 # simlint: disable-file=D104,P202,P203 -- kernel tests assert exact simulated times and deliberately misuse calls to probe behaviour
 
+import hashlib
+import math
+import random
+
 import pytest
 
-from repro.sim import Interrupt, SimulationError
+from repro.sim import Resource, SimulationError, Simulator, Store, Timeout
 
 
 def test_clock_starts_at_zero(sim):
@@ -211,25 +215,6 @@ def test_all_of_empty_triggers_immediately(sim):
         return values
 
     assert sim.run_process(main()) == []
-
-
-def test_interrupt_delivers_cause(sim):
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as stop:
-            return (stop.cause, sim.now)
-        return None
-
-    proc = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1)
-        proc.interrupt("wake up")
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert proc.value == ("wake up", 1)
 
 
 def test_run_until_stops_clock(sim):
@@ -456,3 +441,230 @@ def test_store_parked_getter_receives_item(sim):
     sim.run()
     # FIFO hand-off: oldest parked getter gets the oldest item.
     assert received == [("g1", "a", 1.0), ("g2", "b", 1.0)]
+
+
+# -- the order contract ---------------------------------------------------------
+# The calendar is a heap, a FIFO of records due at the current instant
+# and a FIFO lane per lane_timeout delay.  Whichever structure a record
+# waits in, the run loop must dispatch the same (when, seq) stream the
+# plain heap did, and every run call must return with the heap holding
+# every pending record.
+
+
+class _Boom(Exception):
+    pass
+
+
+class _StreamHook:
+    """A recorder stand-in: checks and digests the dispatched stream."""
+
+    def __init__(self):
+        self.count = 0
+        self.last = (-math.inf, -1)
+        self.digest = hashlib.sha256()
+
+    def note_event(self, record):
+        when, seq, kind, target = record[:4]
+        assert (when, seq) > self.last, (record, self.last)
+        self.last = (when, seq)
+        self.count += 1
+        if kind == 1:
+            label = target.__name__
+        elif kind == 0:
+            label = type(target).__name__
+        else:
+            label = target.name
+        self.digest.update(
+            ("%s %d %d %s\n" % (when.hex(), seq, kind, label)).encode())
+
+
+def _contract_worker(sim, rng, index, resource, store, log):
+    """One process: a random walk over every way to push a record."""
+    for _ in range(50):
+        choice = rng.randrange(10)
+        if choice == 0:             # one-off timeout, zero delays included
+            yield sim.timeout(rng.choice((0.0, 0.25, 0.5, 1.0)))
+        elif choice == 1:           # lane timers at two delays, interleaved
+            timer = sim.lane_timeout(rng.choice((0.7, 1.1)))
+            reply = sim.event()
+            sim._schedule_call1(reply.trigger, index,
+                                rng.choice((0.001, 0.25, 0.9, 1.5)))
+            winner, _ = yield sim.any_of([reply, timer])
+            log.append(("lane", index, winner is reply, sim.now))
+        elif choice == 2:           # contended grants and release records
+            yield from resource.use(rng.choice((0.0, 0.25, 0.5)))
+        elif choice == 3:
+            yield sim.hold(rng.choice((0.0, 0.25, 0.75)))
+        elif choice == 4:           # unpark: a parked getter gets the item
+            if rng.random() < 0.5:
+                store.put(index)
+            else:
+                item = yield from store.get()
+                log.append(("got", index, item, sim.now))
+        elif choice == 5:           # spawn a child and join it
+            yield sim.spawn(_contract_child(sim, rng.choice((0.0, 0.5))),
+                            name="c%d" % index)
+        elif choice == 6:           # late add_callback and a late waiter
+            event = sim.event()
+            event.trigger(index)
+            yield sim.timeout(0.0)
+            event.add_callback(lambda e: log.append(("late", e.value)))
+            value = yield event
+            log.append(("late-wait", value, sim.now))
+        elif choice == 7:           # fail, delivered through a call1 record
+            event = sim.event()
+            sim._schedule_call1(event.fail, _Boom(index),
+                                rng.choice((0.0, 0.25)))
+            try:
+                yield event
+            except _Boom:
+                log.append(("failed", index, sim.now))
+        elif choice == 8:           # an exception escaping a callback
+            event = sim.event()
+            event.trigger(index)    # FIFO, due before the heap's boom
+            sim._schedule_call1(_boom, index)
+            yield sim.spawn(_contract_child(sim, 0.0), name="b%d" % index)
+        else:                       # all_of over a mix of events
+            yield sim.all_of([sim.timeout(0.25), sim.lane_timeout(0.7),
+                              sim.spawn(_contract_child(sim, 0.25),
+                                        name="a%d" % index)])
+
+
+def _contract_child(sim, delay):
+    yield sim.timeout(delay)
+    return delay
+
+
+def _boom(value):
+    raise _Boom(value)
+
+
+def _contract_run(seed):
+    """Drive the random schedule through every kind of run call."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    hook = _StreamHook()
+    sim.recorder = hook
+    resource = Resource(sim, capacity=2, name="r")
+    store = Store(sim, name="s")
+    log = []
+    for index in range(8):
+        sim.spawn(_contract_worker(sim, rng, index, resource, store, log),
+                  name="w%d" % index)
+
+    def short():
+        yield sim.timeout(0.0)
+        return sim.now
+
+    calls = {"until": 0, "process": 0, "escaped": 0}
+    while sim.pending():
+        choice = rng.randrange(4)
+        try:
+            if choice < 2:
+                # Stop exactly at a pending record's time.
+                records = sim.pending()
+                until = records[rng.randrange(min(len(records), 12))][0]
+                sim.run(until=until)
+                calls["until"] += 1
+            elif choice == 2:
+                assert sim.run_process(short(), name="short") == sim.now
+                calls["process"] += 1
+            else:
+                sim.run(until=sim.now + rng.choice((0.5, 2.0)))
+                calls["until"] += 1
+        except _Boom:
+            calls["escaped"] += 1
+        assert sim._sequence - len(sim._calendar) == hook.count
+        assert len(sim.pending()) == len(sim._calendar)
+    assert sim._sequence == hook.count
+    return (hook.digest.hexdigest(), hook.count, sim.now.hex(), calls,
+            len(log), store.drain())
+
+
+# Captured from the single-heap kernel this order contract was written
+# against; never regenerate them to make a change pass.
+_CONTRACT_PINS = {
+    1: ("f921e988f9f790defda097c7a6cb69a1f1fecc232db46be95848ccb7a8ba50bc",
+        1161, "0x1.d4dd2f1a9fbe7p+3",
+        {"until": 17, "process": 25, "escaped": 48}, 176, []),
+    2: ("e3aed76ae2b3949e521707e444e2f001038c7ca4a7312439cf0397204c1afb4e",
+        1192, "0x1.3e6a7ef9db22cp+4",
+        {"until": 34, "process": 21, "escaped": 47}, 174, []),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_CONTRACT_PINS))
+def test_every_push_path_keeps_the_heap_order(seed):
+    outcome = _contract_run(seed)
+    calls = outcome[3]
+    assert calls["until"] and calls["process"] and calls["escaped"]
+    assert outcome == _CONTRACT_PINS[seed]
+
+
+def test_lane_timeout_is_a_timeout_in_the_same_slot(sim):
+    fired = []
+
+    def arm(delay, tag, lane):
+        make = sim.lane_timeout if lane else sim.timeout
+        timer = make(delay, tag)
+        assert isinstance(timer, Timeout) and timer.delay == delay
+        value = yield timer
+        fired.append((value, sim.now))
+
+    for tag, (delay, lane) in enumerate([(1.1, True), (0.5, False),
+                                          (1.1, True), (1.1, False),
+                                          (0.7, True), (1.1, True)]):
+        sim.spawn(arm(delay, tag, lane))
+    sim.run(until=0.6)
+    # Only each lane's head is on the heap during a run; afterwards the
+    # heap holds every pending record again.
+    assert len(sim._calendar) == len(sim.pending()) == 5
+    sim.run()
+    assert fired == [(1, 0.5), (4, 0.7), (0, 1.1), (2, 1.1), (3, 1.1),
+                     (5, 1.1)]
+    with pytest.raises(ValueError):
+        sim.lane_timeout(-1.0)
+
+
+def test_pending_sees_records_scheduled_outside_a_run(sim):
+    event = sim.event()
+    event.trigger("now")
+    proc = sim.spawn(_contract_child(sim, 1.0))
+    timer = sim.timeout(2.0)
+    pending = sim.pending()
+    assert [record[3] for record in pending] == [event, proc, timer]
+    assert len(pending) == sim._sequence
+    assert sim._calendar == [pending[2]]
+    sim.run()
+    assert sim.pending() == [] and proc.value == 1.0
+
+
+def test_pending_counts_every_record_of_an_nfs_run():
+    from repro.core.comparison import make_stack
+    from repro.obs.bench import WORKLOADS
+
+    stack = make_stack("nfsv3")
+    sim = stack.sim
+    # Mounting dispatched records before the counter was attached.
+    seen = [None] * (sim._sequence - len(sim.pending()))
+
+    class Counter:
+        lane_depth = 0
+
+        def note_event(self, record):
+            seen.append(record)
+            assert len(sim.pending()) == sim._sequence - len(seen)
+            self.lane_depth = max([self.lane_depth]
+                                  + [len(lane) for lane in sim._lanes.values()])
+
+        def note_message(self, direction, message):
+            pass
+
+    sim.recorder = counter = Counter()
+    stack.run(WORKLOADS["smoke"](stack.client), name="smoke")
+    assert counter.lane_depth > 1      # retransmit timers waited in a lane
+    dispatched = len(seen)
+    # Past the 1.1 s retransmit timers: the lanes drain during the run.
+    sim.run(until=sim.now + 1.5)
+    assert len(seen) > dispatched
+    assert len(sim.pending()) == sim._sequence - len(seen)
