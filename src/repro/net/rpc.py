@@ -131,7 +131,14 @@ class RpcPeer:
         header_bytes: int = 128,
         **body: Any,
     ) -> Generator[Event, Any, Message]:
-        """Coroutine: send a request and return the matching reply message."""
+        """Coroutine: send a request and return the matching reply message.
+
+        With a retransmission policy, each attempt waits for the reply or
+        its timer; the first wait is the policy's ``timeout``, and
+        :meth:`RetransmitPolicy.schedule` supplies the backoff only once
+        a timer has fired.  Every timer that fires sends the request again;
+        the one after the last resend raises :class:`RpcTimeoutError`.
+        """
         request = Message(
             op=op,
             kind=REQUEST,
@@ -140,52 +147,45 @@ class RpcPeer:
             body=body,
         )
         self.calls_issued += 1
-        san = self.sim.san
+        sim = self.sim
+        san = sim.san
         if san is not None:
             san.note_issued(self, request.xid)
         span = None
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer is not None:
             span = tracer.begin_span(
                 "rpc:" + op, cat="rpc", track=self.track,
                 xid=request.xid, bytes=request.size,
             )
             request.span_id = span.id
-        try:
-            yield from self._charge(request.size)
-            reply_event = self.sim.event()
-            self._pending[request.xid] = reply_event
-            try:
-                self._send(request)
-                if self.retransmit is None:
-                    reply = yield reply_event
-                else:
-                    reply = yield from self._call_with_retries(request, reply_event)
-            finally:
-                self._pending.pop(request.xid, None)
-        finally:
-            if span is not None:
-                tracer.end_span(span)
-        return reply
-
-    def _call_with_retries(
-        self, request: Message, reply_event: Event
-    ) -> Generator[Event, Any, Message]:
+        # The exchange in flight: the request, or its latest resend.
         current = request
         try:
-            for wait in self.retransmit.schedule():
-                timer = self.sim.lane_timeout(wait)
-                winner, value = yield self.sim.any_of([reply_event, timer])
+            yield from self._charge(request.size)
+            reply_event = sim.event()
+            self._pending[request.xid] = reply_event
+            self._send(request)
+            policy = self.retransmit
+            if policy is None:
+                reply = yield reply_event
+                return reply
+            wait = policy.timeout
+            schedule = None
+            while True:
+                timer = sim.lane_timeout(wait)
+                winner, reply = yield sim.any_of([reply_event, timer])
                 if winner is reply_event:
                     if current is not request:
                         # The exchange was retransmitted: a non-idempotent
                         # op may have already executed once before its
                         # reply was lost, so callers must apply replay
                         # (retry) semantics to error statuses.
-                        value.is_retransmission = True
-                    return value
+                        reply.is_retransmission = True
+                    return reply
                 # Timer fired first: retransmit.
-                if self.retransmit.reset_connection:
+                reset = policy.reset_connection
+                if reset:
                     # The connection reset loses the in-flight reply:
                     # abandon the old xid and start a fresh exchange.
                     # Undelivered bytes of the old connection vanish with
@@ -193,40 +193,37 @@ class RpcPeer:
                     # reach (and re-execute on) the server.
                     current.cancelled = True
                     self._pending.pop(current.xid, None)
-                    clone = Message(
-                        op=request.op,
-                        kind=REQUEST,
-                        header_bytes=request.header_bytes,
-                        payload_bytes=request.payload_bytes,
-                        body=request.body,
-                        is_retransmission=True,
-                        span_id=request.span_id,
-                    )
-                    reply_event = self.sim.event()
-                    self._pending[clone.xid] = reply_event
-                    san = self.sim.san
+                current = Message(
+                    op=request.op,
+                    kind=REQUEST,
+                    xid=None if reset else request.xid,
+                    header_bytes=request.header_bytes,
+                    payload_bytes=request.payload_bytes,
+                    body=request.body,
+                    is_retransmission=True,
+                    span_id=request.span_id,
+                )
+                if reset:
+                    reply_event = sim.event()
+                    self._pending[current.xid] = reply_event
                     if san is not None:
-                        san.note_issued(self, clone.xid)
-                else:
-                    clone = Message(
-                        op=request.op,
-                        kind=REQUEST,
-                        xid=request.xid,
-                        header_bytes=request.header_bytes,
-                        payload_bytes=request.payload_bytes,
-                        body=request.body,
-                        is_retransmission=True,
-                        span_id=request.span_id,
+                        san.note_issued(self, current.xid)
+                yield from self._charge(current.size)
+                self._send(current)
+                if schedule is None:
+                    schedule = policy.schedule()
+                    next(schedule)  # the first wait, already spent
+                wait = next(schedule, None)
+                if wait is None:
+                    raise RpcTimeoutError(
+                        "%s: no reply to %s xid=%d after %d attempts"
+                        % (self.name, request.op, request.xid,
+                           policy.max_retries + 1)
                     )
-                current = clone
-                yield from self._charge(clone.size)
-                self._send(clone)
         finally:
             self._pending.pop(current.xid, None)
-        raise RpcTimeoutError(
-            "%s: no reply to %s xid=%d after %d attempts"
-            % (self.name, request.op, request.xid, self.retransmit.max_retries + 1)
-        )
+            if span is not None:
+                tracer.end_span(span)
 
     # -- serving ----------------------------------------------------------------
 

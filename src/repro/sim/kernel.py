@@ -52,6 +52,19 @@ Records scheduled for the current instant *between* runs wait on the
 FIFO until the next run; :meth:`Simulator.pending` lists every pending
 record, wherever it waits.
 
+The record that ends a wait resumes the waiting process itself, with no
+bookkeeping frame in between.  A process that yields a pending event is
+stored in the event's waiter list as the :class:`Process` object, not as
+a bound method, and the loop processes an event record in place: it
+runs the waiters in registration order, resuming each process directly
+and calling any other callback (the ``AnyOf``/``AllOf`` children, plain
+``add_callback`` callables) with the event.  A failure raised into a
+live waiting process is defused; a failure no waiter takes is raised at
+the end of the run.  A process that yields an event already
+processed gets one call1 record at the current instant, the slot a late
+``add_callback`` takes.  A release record calls the resource's
+``release()`` from the loop and then resumes its process.
+
 One loop, :meth:`Simulator._drain`, dispatches every record.  The run
 entry points differ only in where they stop, so each one hands the loop
 a *strict* horizon — ``math.inf`` for an unbounded run, the float just
@@ -69,8 +82,8 @@ calendar records and nothing more: no generator, no gate
 :class:`Event`.  An uncontended ``use(d)`` does the acquire accounting
 at once and pushes one *release* record (kind 4) in the ``(when, seq)``
 slot ``hold(d)`` takes; its target is the process, so the flight
-recorder names what it resumes, and dispatching it does the release
-accounting and then resumes the process.  A contended acquirer is
+recorder names what it resumes, and dispatching it calls the resource's
+``release()`` and then resumes the process.  A contended acquirer is
 queued on the resource itself, and the release that frees its unit
 pushes one *grant* record (kind 1) at the current instant: exactly the
 slot that triggering the acquirer's gate event took, so the firing order
@@ -131,16 +144,18 @@ __all__ = [
 ]
 
 # Calendar record kinds (index 2 of each record), in the order the run
-# loop tests them.  A release record ends a resource hold: its payload is
-# the Resource, which does the release accounting and then resumes the
-# target process.  Kind 3 is retired (it threw into a process), so the
-# numbers in flight-recorder dumps keep their meaning.  An event record's
-# payload is None, except on a lane timer (Simulator.lane_timeout), where
-# it is the timer's lane.
-_KIND_EVENT = 0    # target: Event      -> target._process()
+# loop tests them.  An event record runs the event's waiters (a waiting
+# Process is resumed directly, any other callback is called).  A release
+# record ends a resource hold: its payload is the Resource, whose
+# release() does the accounting before the loop resumes the target
+# process.  Kind 3 is retired (it threw into a process), so the numbers
+# in flight-recorder dumps keep their meaning.  An event record's payload
+# is None, except on a lane timer (Simulator.lane_timeout), where it is
+# the timer's lane.
+_KIND_EVENT = 0    # target: Event      -> run target's waiters
 _KIND_CALL1 = 1    # target: callable   -> target(payload)
 _KIND_RESUME = 2   # target: Process    -> target._resume(payload, None)
-_KIND_RELEASE = 4  # target: Process    -> payload._end_hold(target)
+_KIND_RELEASE = 4  # target: Process    -> payload.release(); resume target
 
 # Sentinel yielded by Simulator.hold(): the resume record is already on
 # the calendar, so Process._resume has nothing to subscribe to.
@@ -158,6 +173,10 @@ class Event:
     (:meth:`trigger`) or with an exception (:meth:`fail`).  Processes that
     yield a triggered event resume immediately (on the next kernel step);
     processes that yield a pending event resume when it triggers.
+
+    The waiters, in registration order, are callbacks and waiting
+    processes: a process that yields a pending event is stored as itself,
+    and the run loop resumes it when the event is processed.
     """
 
     __slots__ = ("sim", "triggered", "ok", "value", "_callbacks", "defused")
@@ -167,7 +186,8 @@ class Event:
         self.triggered = False
         self.ok: Optional[bool] = None
         self.value: Any = None
-        self._callbacks: List[Callable[["Event"], None]] = []
+        # Callbacks and waiting Process objects; None once processed.
+        self._callbacks: List[Any] = []
         # Set to True once a failure has been delivered to at least one
         # waiter (or defused explicitly); undelivered failures raise at the
         # end of the run so errors never pass silently.
@@ -217,14 +237,6 @@ class Event:
         else:
             self._callbacks.append(callback)
 
-    def _process(self) -> None:
-        callbacks = self._callbacks
-        self._callbacks = None
-        for callback in callbacks:
-            callback(self)
-        if self.ok is False and not self.defused:
-            self.sim._unhandled.append(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
         return "<%s %s at t=%s>" % (type(self).__name__, state, self.sim.now)
@@ -241,7 +253,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError("negative delay: %r" % (delay,))
         self.sim = sim
         self.triggered = True
@@ -288,19 +300,19 @@ class Process(Event):
         previous = sim._active_process
         sim._active_process = self
         try:
-            try:
-                if exc is not None:
-                    target = self._generator.throw(exc)
-                else:
-                    target = self._generator.send(value)
-            except StopIteration as stop:
-                self.trigger(stop.value)
-                return
-            except BaseException as error:
-                self.fail(error)
-                return
-        finally:
+            if exc is None:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exc)
+        except StopIteration as stop:
             sim._active_process = previous
+            self.trigger(stop.value)
+            return
+        except BaseException as error:
+            sim._active_process = previous
+            self.fail(error)
+            return
+        sim._active_process = previous
         if target is _HOLD:
             # hold() already pushed this process's resume record; there is
             # no event object to subscribe to.
@@ -315,9 +327,16 @@ class Process(Event):
             )
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
+        waiters = target._callbacks
+        if waiters is None:
+            # Already processed: one call1 record resumes this process at
+            # the current instant (Event.add_callback's late path).
+            target.add_callback(self._on_event)
+        else:
+            waiters.append(self)
 
     def _on_event(self, event: Event) -> None:
+        """Resume with the outcome of ``event``, processed before the wait."""
         if self.triggered:
             return
         if event.ok:
@@ -446,7 +465,7 @@ class Simulator:
         """
         lane = self._lanes.get(delay)
         if lane is None:
-            if delay < 0:
+            if not delay >= 0:  # NaN too
                 raise ValueError("negative delay: %r" % (delay,))
             lane = self._lanes[delay] = deque()
         timer = Timeout.__new__(Timeout)
@@ -498,7 +517,7 @@ class Simulator:
         be stored, combined with ``any_of``/``all_of``, or waited on by
         anyone else.
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError("negative delay: %r" % (delay,))
         proc = self._active_process
         if proc is None:
@@ -596,7 +615,7 @@ class Simulator:
         """The strict horizon equivalent to an inclusive ``until``."""
         if until is None:
             return math.inf
-        if until < self.now:
+        if not until >= self.now:  # NaN too
             raise SimulationError(
                 "run until %r is in the past (now=%r)" % (until, self.now))
         return math.nextafter(until, math.inf)
@@ -622,6 +641,7 @@ class Simulator:
         pop = heappop
         push = heappush
         take = fifo.popleft
+        process = Process
         observe = self._observer()
         try:
             while not proc.triggered:
@@ -653,16 +673,45 @@ class Simulator:
                         payload.popleft()
                         if payload:
                             push(calendar, payload[0])
-                    target._process()
+                    # Process the event: its waiters, in registration
+                    # order, each resumed or called in place.
+                    waiters = target._callbacks
+                    target._callbacks = None
+                    if target.ok:
+                        for waiter in waiters:
+                            if waiter.__class__ is process:
+                                waiter._resume(target.value, None)
+                            else:
+                                waiter(target)
+                    else:
+                        self._deliver_failure(target, waiters)
                 elif kind == 1:
                     target(payload)
                 elif kind == 2:
                     target._resume(payload, None)
                 else:
-                    payload._end_hold(target)
+                    payload.release()
+                    target._resume(None, None)
         finally:
             self._restore()
         self._raise_unhandled()
+
+    def _deliver_failure(self, event: Event, waiters: List[Any]) -> None:
+        """Process a failed ``event``: the failure path of :meth:`_drain`.
+
+        A waiting process that is still alive defuses the failure and has
+        it raised at its ``yield``; a callback is called with the event.
+        A failure no waiter defused is raised at the end of the run.
+        """
+        for waiter in waiters:
+            if waiter.__class__ is Process:
+                if not waiter.triggered:
+                    event.defused = True
+                    waiter._resume(None, event.value)
+            else:
+                waiter(event)
+        if not event.defused:
+            self._unhandled.append(event)
 
     def _restore(self) -> None:
         """Put the FIFO and the lane tails back onto the heap.

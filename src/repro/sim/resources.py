@@ -22,9 +22,10 @@ is a plain method, not a coroutine: an uncontended call does the acquire
 accounting at once, pushes the hold's end as one *release* record in the
 slot ``sim.hold(duration)`` takes, and returns a one-element iterable of
 the kernel's hold sentinel, so call sites still read ``yield from
-cpu.use(d)``.  The kernel dispatches the release record to
-:meth:`Resource._end_hold`, which does the release accounting, grants
-the unit to the oldest waiter, and resumes the process.
+cpu.use(d)``.  The kernel's run loop dispatches the release record
+itself: it calls :meth:`Resource.release`, which does the release
+accounting and grants the unit to the oldest waiter, and then resumes
+the process.
 
 A contended acquirer (in ``use`` or ``acquire``) is queued on the
 resource itself.  The release that frees its unit pushes one *grant*
@@ -200,7 +201,7 @@ class Resource:
         a call outside a running process raises :class:`SimulationError`,
         both before anything is taken or queued.
         """
-        if duration < 0:
+        if not duration >= 0:  # NaN too
             raise ValueError("negative delay: %r" % (duration,))
         sim = self.sim
         proc = sim._active_process
@@ -208,18 +209,32 @@ class Resource:
             raise SimulationError("use() outside a running process")
         if self.available > 0 and not self._waiters:
             self.available -= 1
-            self._enter(0.0, False)
+            # _enter(0.0, False), inlined: this runs once per charge.
+            now = sim.now
+            stats = self.stats
+            dt = now - stats._last_change
+            if dt > 0.0:
+                stats.busy_time += stats._in_service * dt
+                stats._queue_integral += stats._queue_len * dt
+                stats._last_change = now
+            stats._in_service += 1
+            stats.acquisitions += 1
+            tracker = self.tracker
+            if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
+                tracker.busy_time += tracker._in_service * (now - tracker._last_change)
+                tracker._last_change = now
+            tracker._in_service += 1
             sim._sequence = seq = sim._sequence + 1
             heappush(sim._calendar,
-                     (sim.now + duration, seq, _KIND_RELEASE, proc, self))
+                     (now + duration, seq, _KIND_RELEASE, proc, self))
         else:
             self._enqueue(proc, duration)
         return _WAIT
 
     # -- transitions and records --------------------------------------------------
-    # Each transition (_enqueue, _enter, and release above) updates
-    # ResourceStats and UtilizationTracker once, with the float operations
-    # of their _accumulate() steps.
+    # Each transition (_enqueue, _enter and its inlined copy in use, and
+    # release above) updates ResourceStats and UtilizationTracker once,
+    # with the float operations of their _accumulate() steps.
 
     def _enqueue(self, proc: Process, duration: Optional[float]) -> None:
         """Queue ``proc``; a later release grants it the unit."""
@@ -269,11 +284,6 @@ class Resource:
             heappush(sim._calendar,
                      (sim.now + duration, seq, _KIND_RELEASE, proc, self))
 
-    def _end_hold(self, proc: Process) -> None:
-        """The release record: the hold of ``proc`` is over."""
-        self.release()
-        proc._resume(None, None)
-
 
 class Store:
     """An unbounded FIFO with blocking ``get`` (message inbox)."""
@@ -305,8 +315,11 @@ class Store:
         if self._items:
             return self._items.popleft()
         sim = self.sim
+        # park() raises outside a running process: before queueing, so a
+        # failed get leaves no getter behind for put() to feed.
+        wait = sim.park()
         self._getters.append(sim._active_process)
-        item = yield sim.park()
+        item = yield wait
         return item
 
     def get_nowait(self) -> Optional[Any]:

@@ -189,6 +189,44 @@ def test_retransmit_schedule_caps_at_max_timeout():
     assert list(policy.schedule()) == [1.0, 3.0, 5.0, 5.0, 5.0]
 
 
+@pytest.mark.parametrize("reset", [False, True], ids=["same-xid", "reset"])
+def test_call_resends_on_the_schedule_until_it_gives_up(sim, reset):
+    # Total loss: every timer fires, so the wire shows the whole schedule
+    # [1, 3, 5, 5, 5] as resend times.
+    policy = RetransmitPolicy(timeout=1.0, backoff=3.0, max_retries=4,
+                              max_timeout=5.0, reset_connection=reset)
+    transport = DuplexTransport(
+        sim, Link(sim, rtt=0.002), counters=MessageCounters(),
+        reliable=False, loss_rate=1.0, rng=random.Random(1),
+    )
+    sent = []
+
+    def send(message):
+        sent.append((sim.now, message.xid, message.is_retransmission))
+        transport.send_from_client(message)
+
+    client = RpcPeer(sim, transport.client, send, retransmit=policy,
+                     name="client")
+
+    def call():
+        try:
+            yield from client.call("VOID")
+        except RpcTimeoutError as exc:
+            return sim.now, str(exc)
+
+    raised_at, error = sim.run_process(call())
+    assert raised_at == 19.0
+    assert error.endswith("after 5 attempts")
+    assert [when for when, _, _ in sent] == [0.0, 1.0, 4.0, 9.0, 14.0, 19.0]
+    assert [resend for _, _, resend in sent] == [False] + [True] * 5
+    # Xids come from a module-global counter: compare offsets.
+    first = sent[0][1]
+    offsets = [xid - first for _, xid, _ in sent]
+    assert offsets == ([0, 1, 2, 3, 4, 5] if reset else [0] * 6)
+    assert not client._pending
+    assert transport.counters.requests == 6
+
+
 def test_retransmit_policy_validates_parameters():
     with pytest.raises(ValueError):
         RetransmitPolicy(timeout=0.0)

@@ -36,8 +36,12 @@ def test_timeouts_fire_in_order(sim):
 
 
 def test_negative_delay_rejected(sim):
+    for delay in (-1, math.nan):
+        with pytest.raises(ValueError):
+            sim.timeout(delay)
     with pytest.raises(ValueError):
-        sim.timeout(-1)
+        sim.lane_timeout(math.nan)
+    assert sim._sequence == 0 and not sim._lanes
 
 
 def test_simultaneous_events_fifo(sim):
@@ -266,7 +270,7 @@ def test_run_until_fires_events_at_exactly_until(sim):
 @pytest.mark.parametrize("entry", ["run", "run_process"])
 def test_until_before_now_is_rejected(sim, entry, pending):
     def ticker():
-        while True:
+        for _ in range(20):
             yield sim.timeout(1)
 
     def drive(until):
@@ -278,8 +282,9 @@ def test_until_before_now_is_rejected(sim, entry, pending):
         sim.spawn(ticker())
     sim.run(until=6)
     calendar = list(sim._calendar)
-    with pytest.raises(SimulationError, match="in the past"):
-        drive(2)
+    for until in (2, math.nan):
+        with pytest.raises(SimulationError, match="in the past"):
+            drive(until)
     # The clock never moves backwards and nothing was scheduled.
     assert sim.now == 6
     assert sim._calendar == calendar
@@ -413,11 +418,13 @@ def test_hold_outside_process_rejected(sim):
 
 
 def test_hold_negative_delay_rejected(sim):
-    def proc():
-        yield sim.hold(-0.5)
+    def proc(delay):
+        yield sim.hold(delay)
 
-    with pytest.raises(ValueError):
-        sim.run_process(proc())
+    for delay in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            sim.run_process(proc(delay))
+    assert sim.now == 0.0
 
 
 def test_store_parked_getter_receives_item(sim):
@@ -668,3 +675,112 @@ def test_pending_counts_every_record_of_an_nfs_run():
     sim.run(until=sim.now + 1.5)
     assert len(seen) > dispatched
     assert len(sim.pending()) == sim._sequence - len(seen)
+
+
+# -- wake order ---------------------------------------------------------------
+# One event with every kind of waiter registered on it: a process, an
+# AnyOf child, a second process, a plain callback and an AllOf child,
+# plus a waiter that arrives after the event was processed.  The run loop
+# wakes them in registration order; the logs below pin each wake-up and
+# every dispatched record.
+
+
+class _Dispatched:
+    """A recorder stand-in: the (when, seq, kind) of each record."""
+
+    def __init__(self):
+        self.records = []
+
+    def note_event(self, record):
+        self.records.append(record[:3])
+
+
+def _wake_order(variant):
+    sim = Simulator()
+    sim.recorder = dispatched = _Dispatched()
+    gate = sim.event()
+    log = []
+
+    def waiter(tag, event):
+        try:
+            value = yield event
+        except ValueError as exc:
+            log.append((tag, sim.now, "raised", str(exc)))
+        else:
+            if tag == "any_of":
+                value = value[1]
+            log.append((tag, sim.now, "value", value))
+
+    def callback(tag):
+        return lambda event: log.append((tag, sim.now, event.ok))
+
+    def main():
+        if variant == "fail-unhandled":
+            gate.add_callback(callback("callback"))
+        else:
+            sim.spawn(waiter("first", gate), name="first")
+            yield sim.timeout(0.0)
+            any_of = sim.any_of([gate, sim.timeout(5.0)])
+            sim.spawn(waiter("second", gate), name="second")
+            yield sim.timeout(0.0)
+            gate.add_callback(callback("callback"))
+            all_of = sim.all_of([gate, sim.timeout(2.0, "t")])
+            sim.spawn(waiter("any_of", any_of), name="any_of")
+            sim.spawn(waiter("all_of", all_of), name="all_of")
+        yield sim.timeout(1.0)
+        if variant == "trigger":
+            gate.trigger("v")
+        else:
+            gate.fail(ValueError("boom"))
+        yield sim.timeout(0.5)
+        if variant == "fail-unhandled":
+            gate.add_callback(callback("late"))
+        else:
+            sim.spawn(waiter("late", gate), name="late")
+        log.append(("main", sim.now, "done"))
+
+    sim.spawn(main(), name="main")
+    try:
+        sim.run()
+    except ValueError as exc:
+        log.append(("run", sim.now, "raised", str(exc)))
+    return log, dispatched.records, gate.defused
+
+
+# Captured from the kernel whose Event._process called a bound
+# Process._on_event per waiting process; never regenerate them.
+_SETUP_RECORDS = [(0.0, 1, 2), (0.0, 2, 2), (0.0, 3, 0), (0.0, 5, 2),
+                  (0.0, 6, 0), (0.0, 8, 2), (0.0, 9, 2), (1.0, 10, 0),
+                  (1.0, 11, 0), (1.0, 13, 0), (1.0, 14, 0), (1.0, 15, 0),
+                  (1.0, 16, 0)]
+_WAKE_PINS = {
+    "trigger": (
+        [("first", 1.0, "value", "v"), ("second", 1.0, "value", "v"),
+         ("callback", 1.0, True), ("any_of", 1.0, "value", "v"),
+         ("main", 1.5, "done"), ("late", 1.5, "value", "v"),
+         ("all_of", 2.0, "value", ["v", "t"])],
+        _SETUP_RECORDS + [(1.5, 12, 0), (1.5, 17, 2), (1.5, 18, 0),
+                          (1.5, 19, 1), (1.5, 20, 0), (2.0, 7, 0),
+                          (2.0, 21, 0), (2.0, 22, 0), (5.0, 4, 0)],
+        False),
+    "fail": (
+        [("first", 1.0, "raised", "boom"), ("second", 1.0, "raised", "boom"),
+         ("callback", 1.0, False), ("any_of", 1.0, "raised", "boom"),
+         ("all_of", 1.0, "raised", "boom"), ("main", 1.5, "done"),
+         ("late", 1.5, "raised", "boom")],
+        _SETUP_RECORDS + [(1.0, 17, 0), (1.0, 18, 0), (1.5, 12, 0),
+                          (1.5, 19, 2), (1.5, 20, 0), (1.5, 21, 1),
+                          (1.5, 22, 0), (2.0, 7, 0), (5.0, 4, 0)],
+        True),
+    "fail-unhandled": (
+        [("callback", 1.0, False), ("main", 1.5, "done"),
+         ("late", 1.5, False), ("run", 1.5, "raised", "boom")],
+        [(0.0, 1, 2), (1.0, 2, 0), (1.0, 3, 0), (1.5, 4, 0), (1.5, 5, 1),
+         (1.5, 6, 0)],
+        False),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_WAKE_PINS))
+def test_waiters_wake_in_registration_order(variant):
+    assert _wake_order(variant) == _WAKE_PINS[variant]

@@ -2,6 +2,7 @@
 # simlint: disable-file=P202 -- tests deliberately leak an acquire to assert the leak is observable
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -131,6 +132,16 @@ def test_store_blocks_until_put(sim):
 
     sim.spawn(putter())
     assert sim.run_process(getter()) == ("x", 3)
+
+
+def test_store_get_outside_a_process_queues_no_getter(sim):
+    store = Store(sim)
+    with pytest.raises(SimulationError):
+        next(store.get())
+    store.put("x")
+    sim.run()
+    assert len(store) == 1
+    assert store.get_nowait() == "x"
 
 
 def test_store_get_nowait_and_drain(sim):
@@ -396,10 +407,11 @@ def test_use_rejects_negative_duration_before_queueing(sim):
                 res.stats.acquisitions, res.stats._queue_len)
 
     def attempt():
-        before = state()
-        with pytest.raises(ValueError):
-            res.use(-1.0)  # simlint: disable=P203 -- raises before acting
-        unchanged.append(state() == before)
+        for duration in (-1.0, math.nan):
+            before = state()
+            with pytest.raises(ValueError):
+                res.use(duration)  # simlint: disable=P203 -- raises before acting
+            unchanged.append(state() == before)
 
     def caller():
         attempt()                   # a unit is free
@@ -412,7 +424,7 @@ def test_use_rejects_negative_duration_before_queueing(sim):
     sim.spawn(caller())
     sim.spawn(holder())
     sim.run()
-    assert unchanged == [True, True]
+    assert unchanged == [True] * 4
     assert res.stats.acquisitions == 1
     assert res.available == 1
 
