@@ -15,7 +15,7 @@ Rule families
 * **P-rules** — simulator process discipline: misuse of the
   generator-coroutine protocol of :mod:`repro.sim`.
 * **O-rules** — observability discipline: instrument hooks (tracer,
-  telemetry, flight recorder, sanitizer, fault injector) that bypass
+  telemetry, sanitizer, fault injector) that bypass
   their ``is not None`` guard and would fail on an uninstrumented run.
 
 Every rule is a per-file check: :func:`lint_paths` lints each file on
@@ -151,7 +151,6 @@ _INSTRUMENT_HOOKS = {
     "tracer": frozenset({"begin_span", "instant", "message", "wrap",
                          "current_span_id"}),
     "telem": frozenset({"count", "observe"}),
-    "recorder": frozenset({"note_event", "note_message", "dump"}),
     "san": frozenset({
         "note_send", "note_loss", "note_fault_drop",
         "note_fault_duplicate", "note_scheduled", "note_issued",

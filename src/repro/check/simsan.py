@@ -87,8 +87,8 @@ class CheckedSimulator(Simulator):
 
     It has no dispatch loop of its own: its per-record observer hands the
     kernel's one loop (:meth:`Simulator._drain`) an order check, chained
-    ahead of the flight recorder when one is attached, so every run entry
-    point checks each dispatched record: the ``(when, seq)`` key must
+    ahead of the ``recorder`` observer when one is attached, so every run
+    entry point checks each dispatched record: the ``(when, seq)`` key must
     strictly increase and never lie in the past.  It also keeps a
     registry of spawned processes so the end-of-run deadlock check can
     enumerate survivors.  Checks only read and count — the event sequence
@@ -381,17 +381,8 @@ class SimSan:
         return out
 
     def verify(self, strict: bool = True) -> List[Finding]:
-        """Run every check; raise :class:`SanitizerError` when strict.
-
-        When the stack carries a flight recorder, every finding dumps
-        the recorder's context window first, so S-code findings ship
-        with the recent-event evidence attached (recorder.dumps).
-        """
+        """Run every check; raise :class:`SanitizerError` when strict."""
         found = self.findings()
-        recorder = self.stack.sim.recorder
-        if recorder is not None:
-            for finding in found:
-                recorder.dump(finding.code, "simsan", finding.message)
         if found and strict:
             raise SanitizerError(found)
         return found

@@ -194,8 +194,7 @@ class StorageStack:
 
     def __init__(self, kind: str, params: Optional[TestbedParams] = None,
                  trace: bool = False, fault_plan=None, san: bool = False,
-                 telemetry: bool = False, heartbeat: bool = False,
-                 recorder: bool = False):
+                 telemetry: bool = False, heartbeat: bool = False):
         if kind not in STACK_KINDS:
             raise ValueError("unknown stack kind %r; one of %s" % (kind, STACK_KINDS))
         self.kind = kind
@@ -253,10 +252,6 @@ class StorageStack:
             self.telemetry = sim.telemetry = Telemetry(sim, heartbeat=hb)
             self._register_telemetry()
             self.telemetry.start()
-        self.recorder = None
-        if recorder:
-            from ..obs.explain import FlightRecorder
-            self.recorder = sim.recorder = FlightRecorder(sim)
         self.fault_injector = None
         if fault_plan is not None and not fault_plan.is_empty:
             from ..faults.injector import FaultInjector
@@ -585,8 +580,7 @@ def make_stack(kind: str, params: Optional[TestbedParams] = None,
                mounted: bool = True, trace: bool = False,
                fault_plan=None, san: bool = False,
                telemetry: bool = False,
-               heartbeat: bool = False,
-               recorder: bool = False) -> StorageStack:
+               heartbeat: bool = False) -> StorageStack:
     """Build (and by default mount) a stack of the given kind.
 
     Pass ``trace=True`` to attach a recording :class:`repro.obs.Tracer`
@@ -601,14 +595,9 @@ def make_stack(kind: str, params: Optional[TestbedParams] = None,
     (``stack.telemetry``, a :class:`repro.obs.telemetry.Telemetry`); its
     probes are pure reads, so measured outputs stay bit-identical too.
     ``heartbeat=True`` additionally prints progress lines to stderr.
-    Pass ``recorder=True`` to attach a
-    :class:`repro.obs.explain.FlightRecorder` (``stack.recorder``): a
-    bounded ring of recent kernel events and messages that sanitizer and
-    telemetry findings dump as evidence; also observe-only.
     """
     stack = StorageStack(kind, params, trace=trace, fault_plan=fault_plan,
-                         san=san, telemetry=telemetry, heartbeat=heartbeat,
-                         recorder=recorder)
+                         san=san, telemetry=telemetry, heartbeat=heartbeat)
     if mounted:
         stack.mount()
     if stack.fault_injector is not None:

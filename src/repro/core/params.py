@@ -73,7 +73,6 @@ class RaidParams:
 
     data_disks: int = 4
     stripe_unit_blocks: int = 16          # 64 KB stripe unit
-    parity_overhead_factor: float = 1.8   # small-write read-modify-write cost
 
 
 @dataclass
@@ -91,8 +90,7 @@ class Ext3Params:
     """ext3-like filesystem geometry and journaling."""
 
     block_size: int = BLOCK_SIZE
-    inode_size: int = 128                  # -> 32 inodes per 4 KB block
-    inodes_per_block: int = 32
+    inodes_per_block: int = 32             # 128-byte inodes, 4 KB blocks
     dir_entries_per_block: int = 64
     journal_commit_interval: float = 5.0   # the paper's ext3 commit interval
     journal_segment_bytes: int = 128 * KB  # max coalesced journal write
@@ -121,7 +119,6 @@ class NfsParams:
     rpc_max_retries: int = 5
     access_check_per_component: bool = False  # the NFSv4 client idiosyncrasy
     compound_rpcs: bool = False            # v4 compound walks (Section 6.3)
-    open_close_stateful: bool = False      # v4 OPEN/CLOSE RPCs
     file_delegation: bool = False          # v4 read delegation
     # Section 7 enhancements (both default off; the "nfs-enhanced" stack
     # turns them on):
@@ -147,7 +144,6 @@ class NfsParams:
                 rsize=32 * KB,   # the v4 implementation uses larger
                 wsize=32 * KB,   # data transfers (Section 4.4)
                 access_check_per_component=True,
-                open_close_stateful=True,
                 file_delegation=True,
             )
         raise ValueError("unsupported NFS version: %r" % (version,))
@@ -161,7 +157,6 @@ class IscsiParams:
     #                                        observed ~128 KB mean write)
     max_coalesced_read: int = 128 * KB
     command_header_bytes: int = 48         # basic header segment
-    immediate_data: bool = True
     # MC/S (multiple connections per session).  connections=1 keeps the
     # original single-TCP-connection wiring byte-identical; >1 adds
     # per-connection transports with a PDU scheduler ("rr" round-robin

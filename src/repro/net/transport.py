@@ -66,25 +66,17 @@ class DuplexTransport:
     def send_from_client(self, message: Message) -> None:
         """Inject ``message`` on the client->server direction."""
         self._count(message)
-        sim = self.sim
-        tracer = sim.tracer
+        tracer = self.sim.tracer
         if tracer is not None:
             tracer.message("c2s", message)
-        recorder = sim.recorder
-        if recorder is not None:
-            recorder.note_message("c2s", message)
         self._deliver(message, self.link.forward, self.server)
 
     def send_from_server(self, message: Message) -> None:
         """Inject ``message`` on the server->client direction."""
         self._count(message)
-        sim = self.sim
-        tracer = sim.tracer
+        tracer = self.sim.tracer
         if tracer is not None:
             tracer.message("s2c", message)
-        recorder = sim.recorder
-        if recorder is not None:
-            recorder.note_message("s2c", message)
         self._deliver(message, self.link.backward, self.client)
 
     # -- internals ------------------------------------------------------------

@@ -146,7 +146,7 @@ class NfsClient:
         self._wb_kick = sim.event()
         self._wb_drain_waiters: List[Tuple[Optional[int], Event]] = []
         self._uncommitted: Set[int] = set()
-        self.writeback_delay = getattr(self.params, "writeback_delay", 0.5)
+        self.writeback_delay = self.params.writeback_delay
         self._wb_daemon = sim.spawn(self._writeback_loop(), name=name + ".wb")
 
         # Section-7 directory delegation state
@@ -1028,7 +1028,7 @@ class NfsClient:
         return None
 
     def _writeback_loop(self) -> Generator:
-        wsize_pages = max(1, getattr(self.params, "pages_per_flush_rpc", 1))
+        wsize_pages = max(1, self.params.pages_per_flush_rpc)
         while True:
             if not self._wb_queue:
                 self._wb_kick = self.sim.event()
@@ -1189,22 +1189,11 @@ class NfsClient:
         return None
 
     def remount_cold(self) -> Generator:
-        """Coroutine: the cold-cache protocol — drain, then drop all caches."""
-        yield from self.quiesce()
-        self._dentries.clear()
-        self._attrs.clear()
-        self._dir_contents.clear()
-        self._access_cache.clear()
-        self._symlinks.clear()
-        self._symlink_inos.clear()
+        """Coroutine: the cold-cache protocol — drop caches, forget open files."""
+        yield from self.drop_caches()
         self._confirmed_opens.clear()
-        self._delegated_files.clear()
-        self._pages.clear()
-        self._last_read_page.clear()
-        self._dirty_size.clear()
-        self._data_verified_at.clear()
-        self.cwd_ino = ROOT_INO
         self._fds.clear()
+        self.cwd_ino = ROOT_INO
         return None
 
     # ======================================================================

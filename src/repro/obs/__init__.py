@@ -33,19 +33,14 @@ This package is the simulated equivalent of all three:
   clean) into a deterministic report — per-layer time deltas that sum
   exactly to the completion-time delta, per-op message drift, queueing
   and telemetry deltas, and a ranked plain-English blame list
-  (``repro explain``).  It also hosts the
-  :class:`~repro.obs.explain.FlightRecorder`, a bounded ring of recent
-  kernel events/messages dumped as evidence when sanitizer or telemetry
-  findings fire.
+  (``repro explain``).
 
 Build a traced stack with ``make_stack(kind, trace=True)`` and read
 ``stack.tracer`` after the run, or use the ``repro trace`` /
 ``repro bench`` CLIs; ``make_stack(kind, telemetry=True)`` attaches the
-streaming collector as ``stack.telemetry`` and
-``make_stack(kind, recorder=True)`` the flight recorder as
-``stack.recorder``.  Every instrument hangs off one attachment point,
-the simulator slot of the same name (``sim.tracer``,
-``sim.telemetry``, ``sim.recorder``), which is ``None`` when off.
+streaming collector as ``stack.telemetry``.  Every instrument hangs off
+one attachment point, the simulator slot of the same name
+(``sim.tracer``, ``sim.telemetry``), which is ``None`` when off.
 
 The names below resolve lazily (PEP 562), so ``import repro`` loads
 only the tracer and the syscall proxy that every stack needs; the
@@ -59,7 +54,7 @@ _SOURCES = {
     "tracer": ("LatencyHistogram", "MessageEvent", "PointEvent", "Span",
                "Tracer"),
     "proxy": ("SYSCALL_NAMES", "TracedClient"),
-    "export": ("chrome_trace", "format_op_summary", "op_summary",
+    "export": ("chrome_trace", "format_op_summary", "op_drift", "op_summary",
                "packet_trace_lines", "render_span_tree",
                "write_chrome_trace", "write_packet_trace"),
     "profile": ("LayerStat", "PathSegment", "Profile", "format_attribution",
@@ -68,10 +63,9 @@ _SOURCES = {
     "bench": ("SUITES", "WORKLOADS", "compare", "format_compare",
               "format_compare_json", "load_bench", "run_case", "run_suite",
               "write_bench"),
-    "explain": ("FlightRecorder", "explain_runs", "format_explain",
-                "format_explain_json", "op_drift", "render_explain_html",
-                "render_timeline_diff", "run_side", "side_from_bench",
-                "write_explain_html"),
+    "explain": ("explain_runs", "format_explain", "format_explain_json",
+                "render_explain_html", "render_timeline_diff", "run_side",
+                "side_from_bench", "write_explain_html"),
     "telemetry": ("Heartbeat", "SeriesRollup", "Telemetry",
                   "TelemetryFinding", "merge_rollups", "merge_snapshots"),
     "dashboard": ("render_dashboard", "render_html", "write_html"),

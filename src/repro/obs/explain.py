@@ -31,31 +31,20 @@ same *side document* shape; :func:`explain_runs` diffs any two sides.
 Renderers: :func:`format_explain` (text), :func:`format_explain_json`
 (stable JSON — equal reports give equal bytes), and
 :func:`render_explain_html` (self-contained HTML, the CI artifact).
-
-The module also hosts :class:`FlightRecorder`: a bounded ring of recent
-kernel events and wire messages, cheap enough to leave attached, that
-dumps its last-N context window as a span-linked JSON snapshot whenever
-a simsan S-code or telemetry T-watcher finding fires — scale-out
-findings arrive with evidence.  The disabled layer is the simulator's
-``recorder`` slot being ``None``; every hook site guards with ``if
-recorder is not None:`` (simlint rule O301), so recorder-off runs
-execute the exact same event sequence as before the layer existed.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from .bench import relative_change
 from .dashboard import _escape
+from .export import _OP_FIELDS, op_drift
 from .profile import LAYER_ORDER
 
 __all__ = [
     "REPORT_VERSION",
-    "FlightRecorder",
-    "op_drift",
     "run_side",
     "side_from_bench",
     "explain_runs",
@@ -73,121 +62,11 @@ REPORT_VERSION = 1
 # traffic — the distinction the paper's Table 4 explanation turns on.
 _DATA_OPS = frozenset({"READ", "WRITE", "SCSI_READ", "SCSI_WRITE"})
 
-_OP_FIELDS = ("requests", "replies", "retransmits", "req_bytes",
-              "rep_bytes")
-
 _RESOURCE_FIELDS = ("utilization", "mean_queue", "mean_wait_s",
                     "p95_wait_s", "acquisitions", "contended")
 
-# Calendar-record kinds, mirroring the numeric constants of
-# repro.sim.kernel (recorder rings store the raw int; dumps decode it).
-_KIND_NAMES = ("event", "call1", "resume", "throw", "release")
-
-
-# -- flight recorder ----------------------------------------------------------
-
-
-class FlightRecorder:
-    """A bounded ring of recent kernel events and wire messages.
-
-    The black box for findings: it is attached as the simulator's
-    ``recorder`` slot, ``None`` by default, and hot paths guard with ``if
-    recorder is not None:`` (simlint O301), so the disabled layer costs
-    one attribute load and branch.  Enabled, each kernel-event note is a
-    tuple append into a fixed-size :class:`collections.deque` — cheap
-    enough to leave on for scale-out runs.  When a sanitizer S-code or
-    telemetry T-watcher finding fires, :meth:`dump` snapshots the current
-    context window (span-linked via each message's ``span_id``) into
-    :attr:`dumps`.
-
-    The recorder observes and never schedules, so an attached recorder
-    leaves the simulated event sequence byte-identical.
-    """
-
-    def __init__(self, sim: Any, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.events: Any = deque(maxlen=capacity)
-        self.messages: Any = deque(maxlen=capacity)
-        self.dumps: List[Dict[str, Any]] = []
-
-    def note_event(self, record: Tuple[Any, ...]) -> None:
-        """Record one popped calendar record (kernel hot-path hook)."""
-        target = record[3]
-        name = getattr(target, "name", None)
-        if not isinstance(name, str):
-            name = getattr(target, "__qualname__", None)
-            if name is None:
-                name = type(target).__name__
-        self.events.append((record[0], record[1], record[2], name))
-
-    def note_message(self, direction: str, message: Any) -> None:
-        """Record one wire message (transport hook, both directions)."""
-        self.messages.append((
-            self.sim.now, direction, message.op, message.kind,
-            message.header_bytes + message.payload_bytes, message.xid,
-            bool(message.is_retransmission), message.span_id))
-
-    def context(self) -> Dict[str, Any]:
-        """The current rings as one JSON-ready context window."""
-        return {
-            "t": round(self.sim.now, 9),
-            "capacity": self.capacity,
-            "events": [
-                {"t": round(t, 9), "seq": seq,
-                 "kind": (_KIND_NAMES[kind]
-                          if 0 <= kind < len(_KIND_NAMES) else str(kind)),
-                 "target": target}
-                for t, seq, kind, target in self.events
-            ],
-            "messages": [
-                {"t": round(t, 9), "direction": direction, "op": op,
-                 "kind": kind, "bytes": size, "xid": xid,
-                 "retransmission": retrans, "span_id": span_id}
-                for t, direction, op, kind, size, xid, retrans, span_id
-                in self.messages
-            ],
-        }
-
-    def dump(self, code: str, source: str, message: str) -> Dict[str, Any]:
-        """Snapshot the context window for one finding; returns the dump.
-
-        ``code`` is the finding code (``S4xx``/``T5xx``), ``source`` the
-        reporting subsystem or series, ``message`` the human text.  The
-        dump is appended to :attr:`dumps` so CLI consumers can ship every
-        finding with its evidence attached.
-        """
-        snapshot = {"code": code, "source": source, "message": message,
-                    "context": self.context()}
-        self.dumps.append(snapshot)
-        return snapshot
-
 
 # -- side documents -----------------------------------------------------------
-
-
-def op_drift(tracer: Any) -> Dict[str, Dict[str, int]]:
-    """Per-op message counters from a live tracer's packet trace.
-
-    Returns ``{op: {requests, replies, retransmits, req_bytes,
-    rep_bytes}}`` — the raw material of the report's message-drift
-    section (bench JSON documents carry only totals, so this section is
-    live-run only).
-    """
-    ops: Dict[str, Dict[str, int]] = {}
-    for msg in tracer.messages:
-        entry = ops.setdefault(msg.op, {field: 0 for field in _OP_FIELDS})
-        if msg.kind == "request":
-            entry["requests"] += 1
-            entry["req_bytes"] += msg.size
-            if msg.retransmission:
-                entry["retransmits"] += 1
-        else:
-            entry["replies"] += 1
-            entry["rep_bytes"] += msg.size
-    return ops
 
 
 def side_from_bench(record: Dict[str, Any],

@@ -6,8 +6,8 @@ Three output formats, matching the three observation tools of the paper:
   (the Ethereal capture).  Schema documented in the README's
   "Observability" section;
 * :func:`op_summary` / :func:`format_op_summary` — a per-op table of
-  message counts, bytes, and latency percentiles (``nfsstat`` plus the
-  paper's Tables 2-4 raw material);
+  message counts, bytes (:func:`op_drift`), and latency percentiles
+  (``nfsstat`` plus the paper's Tables 2-4 raw material);
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON format: load the file into ``chrome://tracing`` or
   https://ui.perfetto.dev to browse spans, messages, and (from a
@@ -29,6 +29,7 @@ from .tracer import Span, Tracer
 __all__ = [
     "packet_trace_lines",
     "write_packet_trace",
+    "op_drift",
     "op_summary",
     "format_op_summary",
     "chrome_trace",
@@ -83,32 +84,45 @@ def write_packet_trace(tracer: Tracer, path: str) -> int:
 # -- per-op summary -----------------------------------------------------------
 
 
+_OP_FIELDS = ("requests", "replies", "retransmits", "req_bytes",
+              "rep_bytes")
+
+
+def op_drift(tracer: Tracer) -> Dict[str, Dict[str, int]]:
+    """Per-op message counters from a live tracer's packet trace.
+
+    Returns ``{op: {requests, replies, retransmits, req_bytes,
+    rep_bytes}}``: the rows of :func:`op_summary` and the raw material
+    of ``repro explain``'s message-drift section (bench JSON documents
+    carry only totals, so that section is live-run only).
+    """
+    ops: Dict[str, Dict[str, int]] = {}
+    for msg in tracer.messages:
+        entry = ops.setdefault(msg.op, {field: 0 for field in _OP_FIELDS})
+        if msg.kind == "request":
+            entry["requests"] += 1
+            entry["req_bytes"] += msg.size
+            if msg.retransmission:
+                entry["retransmits"] += 1
+        else:
+            entry["replies"] += 1
+            entry["rep_bytes"] += msg.size
+    return ops
+
+
 def op_summary(tracer: Tracer) -> Tuple[List[str], List[List[Any]]]:
     """Build the per-op summary table: ``(headers, rows)``.
 
     One row per protocol op seen on the wire: request/reply/retransmission
-    counts, bytes in each direction, and — when the op has a matching
-    ``rpc:<op>`` latency histogram — mean/p50/p95/p99 round-trip times in
-    milliseconds.
+    counts, bytes in each direction (:func:`op_drift`), and — when the op
+    has a matching ``rpc:<op>`` latency histogram — mean/p50/p95/p99
+    round-trip times in milliseconds.
     """
-    per_op: Dict[str, Dict[str, int]] = {}
-    for msg in tracer.messages:
-        row = per_op.setdefault(
-            msg.op, {"req": 0, "rep": 0, "rexmit": 0,
-                     "req_bytes": 0, "rep_bytes": 0})
-        if msg.kind == "request":
-            row["req"] += 1
-            row["req_bytes"] += msg.size
-            if msg.retransmission:
-                row["rexmit"] += 1
-        else:
-            row["rep"] += 1
-            row["rep_bytes"] += msg.size
+    per_op = op_drift(tracer)
     headers = ["op", "reqs", "replies", "rexmit", "req B", "reply B",
                "mean ms", "p50 ms", "p95 ms", "p99 ms"]
     rows: List[List[Any]] = []
     for op in sorted(per_op):
-        row = per_op[op]
         hist = tracer.histograms.get("rpc:" + op)
         if hist is None:
             hist = tracer.histograms.get("scsi:" + op)
@@ -119,8 +133,8 @@ def op_summary(tracer: Tracer) -> Tuple[List[str], List[List[Any]]]:
                        "%.3f" % (hist.percentile(0.99) * 1e3)]
         else:
             latency = ["-", "-", "-", "-"]
-        rows.append([op, row["req"], row["rep"], row["rexmit"],
-                     row["req_bytes"], row["rep_bytes"]] + latency)
+        rows.append([op] + [per_op[op][field] for field in _OP_FIELDS]
+                    + latency)
     return headers, rows
 
 

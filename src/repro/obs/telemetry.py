@@ -534,13 +534,6 @@ class Telemetry:
         return any(f.code == code and f.series == series
                    for f in self.findings)
 
-    def _report(self, finding: TelemetryFinding) -> None:
-        """Record one watcher finding; dump flight-recorder context."""
-        self.findings.append(finding)
-        recorder = self.sim.recorder
-        if recorder is not None:
-            recorder.dump(finding.code, finding.series, finding.message)
-
     def _run_watchers(self, now: float) -> None:
         """Scan the stream for invariant violations (one finding each)."""
         current_index = int(now / self.window)
@@ -569,7 +562,7 @@ class Telemetry:
                            for i in range(len(recent_max) - 1))
                 if (grew and recent_max[-1] >= _QUEUE_ALARM_DEPTH
                         and not self._fired("T501", name)):
-                    self._report(TelemetryFinding(
+                    self.findings.append(TelemetryFinding(
                         "T501", name,
                         "queue depth grew monotonically %.0f -> %.0f over "
                         "the last %d windows (unbounded growth?)"
@@ -578,13 +571,13 @@ class Telemetry:
                 pegged = all(m is not None and m >= _UTIL_PEGGED
                              for m in recent_min)
                 if pegged and not self._fired("T502", name):
-                    self._report(TelemetryFinding(
+                    self.findings.append(TelemetryFinding(
                         "T502", name,
                         "utilization pegged at 1.0 for %d consecutive "
                         "windows (saturated tier)" % _WATCH_WINDOWS))
         if (progress_seen and not progress_alive and queued_work
                 and not self._fired("T503", "progress")):
-            self._report(TelemetryFinding(
+            self.findings.append(TelemetryFinding(
                 "T503", "progress",
                 "no progress counters advanced for %d windows while "
                 "queues still hold work (stall?)" % _WATCH_WINDOWS))

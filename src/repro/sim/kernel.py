@@ -74,20 +74,22 @@ reach the horizon: FIFO records are due now, before it.  The loop pops
 first and compares afterwards, pushing the one overshooting record
 back: keys are unique, so the push-back changes no later pop order, and
 a drain pays it once, whereas peeking at ``calendar[0]`` before every
-pop costs an index per record.  The per-record observer (flight
-recorder, sanitizer order check) is looked up once per drain.
+pop costs an index per record.  The per-record observer (the
+``recorder`` slot, chained behind the sanitizer's order check) is looked
+up once per drain.
 
 A resource hold (:meth:`repro.sim.resources.Resource.use`) costs its
 calendar records and nothing more: no generator, no gate
 :class:`Event`.  An uncontended ``use(d)`` does the acquire accounting
 at once and pushes one *release* record (kind 4) in the ``(when, seq)``
-slot ``hold(d)`` takes; its target is the process, so the flight
-recorder names what it resumes, and dispatching it calls the resource's
-``release()`` and then resumes the process.  A contended acquirer is
-queued on the resource itself, and the release that frees its unit
-pushes one *grant* record (kind 1) at the current instant: exactly the
-slot that triggering the acquirer's gate event took, so the firing order
-and every simulated output are those of the gate-based hand-off.
+slot ``hold(d)`` takes; its target is the process it resumes, so a
+per-record observer sees which process a hold ends, and dispatching it
+calls the resource's ``release()`` and then resumes the process.  A
+contended acquirer is queued on the resource itself, and the release
+that frees its unit pushes one *grant* record (kind 1) at the current
+instant: exactly the slot that triggering the acquirer's gate event
+took, so the firing order and every simulated output are those of the
+gate-based hand-off.
 
 That makes ``use`` an *eager call*, like ``Resource.acquire``, the
 layers' ``_charge`` helpers and ``BlockCache.read``/``read_range``/
@@ -103,14 +105,18 @@ it in a small generator instead).
 Instruments
 -----------
 The simulator is the one attachment point for the opt-in instruments:
-its ``tracer``, ``telemetry``, ``recorder``, ``san`` and ``fault`` slots
-are ``None`` unless a run attaches one (see
+its ``tracer``, ``telemetry``, ``san`` and ``fault`` slots are ``None``
+unless a run attaches one (see
 :class:`repro.core.comparison.StorageStack`).  Every component already
 holds the simulator, so a hook site reads ``x = self.sim.<slot>`` and
 guards with ``if x is not None:`` (simlint O301).  Instruments observe
 and never schedule on the hook path, so attaching one leaves the event
-sequence unchanged; the fault injector is the exception by design.  Of
-the five, only the recorder is a kernel hook: the per-record observer.
+sequence unchanged; the fault injector is the exception by design.
+
+The fifth slot, ``recorder``, is the kernel's own hook: the *per-record
+observer*, any object with a ``note_event(record)`` method, which the
+dispatch loop calls once per calendar record.  It is ``None`` unless a
+harness sets it; no component reads it.
 
 Example
 -------
@@ -148,10 +154,10 @@ __all__ = [
 # Process is resumed directly, any other callback is called).  A release
 # record ends a resource hold: its payload is the Resource, whose
 # release() does the accounting before the loop resumes the target
-# process.  Kind 3 is retired (it threw into a process), so the numbers
-# in flight-recorder dumps keep their meaning.  An event record's payload
-# is None, except on a lane timer (Simulator.lane_timeout), where it is
-# the timer's lane.
+# process.  Kind 3 is retired (it threw into a process); the other kinds
+# keep their numbers, so recorded (when, seq, kind) streams keep their
+# meaning.  An event record's payload is None, except on a lane timer
+# (Simulator.lane_timeout), where it is the timer's lane.
 _KIND_EVENT = 0    # target: Event      -> run target's waiters
 _KIND_CALL1 = 1    # target: callable   -> target(payload)
 _KIND_RESUME = 2   # target: Process    -> target._resume(payload, None)
@@ -431,11 +437,11 @@ class Simulator:
         # The instruments (see the module docstring), None when off.
         self.tracer: Optional[Any] = None       # repro.obs.tracer.Tracer
         self.telemetry: Optional[Any] = None    # repro.obs.telemetry.Telemetry
-        # The flight recorder (or any object with ``note_event(record)``)
-        # is also the per-record hook: _drain looks up its observer once
-        # per call through _observer(), which subclasses override to chain
-        # their own checks, so a recorder attached while a run is in
-        # progress takes effect at the next run call.
+        # The per-record observer, any object with ``note_event(record)``:
+        # _drain looks up its observer once per call through _observer(),
+        # which subclasses override to chain their own checks, so an
+        # observer attached while a run is in progress takes effect at
+        # the next run call.
         self.recorder: Optional[Any] = None
         self.san: Optional[Any] = None          # repro.check.simsan.SimSan
         self.fault: Optional[Any] = None        # repro.faults.FaultInjector

@@ -28,6 +28,8 @@ from repro.core.params import TestbedParams
 from repro.net.message import REPLY, Message
 from repro.obs import bench
 
+from .test_sim_kernel import _Dispatched
+
 
 def codes(source):
     return [v.code for v in lint_source(source)]
@@ -270,13 +272,6 @@ def test_o302_negative_guarded():
 def test_o302_suppressed():
     src = "self.telem.count('x')  # simlint: disable=O301\n"
     assert codes(src) == []
-
-
-def test_o303_flags_unguarded_recorder_hook():
-    assert codes("self.recorder.note_event(record)\n") == ["O301"]
-    assert codes("recorder.note_message('c2s', msg)\n") == ["O301"]
-    assert codes("self.recorder.dump('T501', 'telemetry', 'msg')\n") \
-        == ["O301"]
 
 
 def test_o303_negative_guarded_and_foreign_receivers():
@@ -763,19 +758,19 @@ def _run_process_until(sim, proc):
 def test_checked_simulator_matches_plain_kernel(drive, recorded):
     """Every run entry point dispatches the same events under the
     sanitizer, and flags a record forged in the past (S403) -- also with
-    a flight recorder attached, which must record that record too."""
-    from repro.obs.explain import FlightRecorder
+    a per-record observer attached, which must see that record too."""
     from repro.sim import Simulator
 
     results = []
     for sim_cls in (Simulator, CheckedSimulator):
         sim = sim_cls()
         if recorded:
-            sim.recorder = FlightRecorder(sim)
+            sim.recorder = _Dispatched()
         log = []
         sim.spawn(_pinger(sim, log, "a"), name="a")
         returned = drive(sim, _pinger(sim, log, "b"))
-        results.append((log, returned, sim.now, sim._sequence))
+        seen = sim.recorder.records if recorded else None
+        results.append((log, returned, sim.now, sim._sequence, seen))
     assert results[0] == results[1]
     assert sim.order_findings == []
     assert sim.now > 0.0
@@ -783,8 +778,7 @@ def test_checked_simulator_matches_plain_kernel(drive, recorded):
     drive(sim, _pinger(sim, [], "c"))
     assert any(f.code == "S403" for f in sim.order_findings)
     if recorded:
-        assert any(event[:3] == (0.0, -1, 1)
-                   for event in sim.recorder.events)
+        assert (0.0, -1, 1) in sim.recorder.records
 
 
 def test_finding_equality():

@@ -1,4 +1,4 @@
-"""repro.obs.explain: diff-engine invariants, flight recorder, renderers.
+"""repro.obs.explain: diff-engine invariants and renderers.
 
 The engine's contracts, each asserted here:
 
@@ -11,24 +11,18 @@ The engine's contracts, each asserted here:
   ranking is invariant under the swap;
 * the paper's Table 4 story — explaining random writes on NFS vs iSCSI
   names message traffic (and its meta-data/journal component) as the top
-  blame term;
-* the flight recorder — bounded rings, evidence dumps on forced S403
-  and T501 findings, and byte-identical runs when attached.
+  blame term.
 """
-# simlint: disable-file=O301,D104 -- tests drive recorder/telemetry hooks directly and assert exact sim times
 
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from repro.core.comparison import make_stack
 from repro.obs import bench
 from repro.obs.bench import relative_change
 from repro.obs.explain import (
-    FlightRecorder,
     explain_runs,
     format_explain,
     format_explain_json,
@@ -36,7 +30,6 @@ from repro.obs.explain import (
     run_side,
     side_from_bench,
 )
-from repro.sim import Resource, Simulator
 from repro.sim.stats import LatencyHistogram
 
 
@@ -149,126 +142,6 @@ def test_json_report_round_trips():
     assert json.loads(format_explain_json(report)) == report
     assert report["version"] == 1
     assert report["workload"] == "smoke"
-
-
-# --------------------------------------------------------- flight recorder
-
-
-def test_flight_recorder_rings_are_bounded():
-    sim = SimpleNamespace(now=0.25)
-    with pytest.raises(ValueError):
-        FlightRecorder(sim, capacity=0)
-    recorder = FlightRecorder(sim, capacity=4)
-    for i in range(10):
-        recorder.note_event((float(i), i, 0,
-                             SimpleNamespace(name="proc%d" % i)))
-    assert len(recorder.events) == 4
-    context = recorder.context()
-    assert [e["target"] for e in context["events"]] \
-        == ["proc6", "proc7", "proc8", "proc9"]
-    assert all(e["kind"] == "event" for e in context["events"])
-    dump = recorder.dump("S999", "test", "forced")
-    assert recorder.dumps == [dump]
-    assert dump["code"] == "S999" and dump["context"]["events"]
-
-
-def test_flight_recorder_names_fallbacks():
-    recorder = FlightRecorder(SimpleNamespace(now=0.0))
-    recorder.note_event((0.0, 0, 1, lambda _arg: None, None))
-    recorder.note_event((0.0, 1, 2, 1234, None))
-    targets = [entry[3] for entry in recorder.events]
-    assert "lambda" in targets[0]
-    assert targets[1] == "int"
-
-
-def test_flight_recorder_names_the_process_a_hold_end_resumes():
-    sim = Simulator()
-    recorder = sim.recorder = FlightRecorder(sim)
-    cpu = Resource(sim, capacity=1, name="cpu")
-
-    def worker():
-        yield from cpu.use(1.0)     # uncontended: the release record
-        yield from cpu.use(1.0)
-
-    def rival():
-        yield from cpu.use(0.5)     # queued: granted, then released
-
-    sim.spawn(worker(), name="worker")
-    sim.spawn(rival(), name="rival")
-    sim.run()
-    events = recorder.context()["events"]
-    assert [(e["t"], e["kind"], e["target"]) for e in events
-            if e["kind"] == "release"] == [
-        (1.0, "release", "worker"), (1.5, "release", "rival"),
-        (2.5, "release", "worker")]
-    assert [e["kind"] for e in events if e["target"] == "Resource._grant"] \
-        == ["call1", "call1"]
-
-
-def test_forced_s403_ships_recorder_evidence():
-    import heapq
-
-    stack = make_stack("nfsv3", san=True, recorder=True)
-
-    def tiny(client):
-        fd = yield from client.creat("/f")
-        yield from client.write(fd, 8192)
-        yield from client.close(fd)
-
-    stack.run(tiny(stack.client), name="tiny")
-    assert stack.sim.now > 0
-    # Corrupt the calendar: a record stamped before the current clock.
-    heapq.heappush(stack.sim._calendar,
-                   (0.0, -1, 1, lambda _arg: None, None))
-    stack.sim.run(until=stack.sim.now + 1.0)
-    findings = stack.check(strict=False)
-    assert any(f.code == "S403" for f in findings)
-    dumps = [d for d in stack.recorder.dumps if d["code"] == "S403"]
-    assert dumps
-    assert dumps[0]["source"] == "simsan"
-    assert dumps[0]["context"]["events"]  # non-empty evidence window
-
-
-def test_forced_t501_ships_recorder_evidence():
-    from repro.obs.telemetry import Telemetry
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    telemetry = Telemetry(sim)
-    recorder = sim.recorder = FlightRecorder(sim)
-    recorder.note_event((0.0, 0, 0, SimpleNamespace(name="seed")))
-    telemetry.observe("disk.queue", 10.0)
-    telemetry.tags["disk.queue"] = "queue"
-    rollup = telemetry.series["disk.queue"]
-    for i in range(1, 9):   # strictly growing windows, past alarm depth
-        rollup.record(i * telemetry.window, 10.0 + i)
-    telemetry._run_watchers(9 * telemetry.window)
-    assert any(f.code == "T501" for f in telemetry.findings)
-    dumps = [d for d in recorder.dumps if d["code"] == "T501"]
-    assert dumps
-    assert dumps[0]["source"] == "disk.queue"
-    assert dumps[0]["context"]["events"]
-
-
-def test_recorder_attached_run_is_identical():
-    def run(kind, **kwargs):
-        stack = make_stack(kind, **kwargs)
-        stack.run(bench.WORKLOADS["smoke"](stack.client), name="smoke")
-        stack.quiesce()
-        return stack
-
-    plain = run("nfsv3")
-    recorded = run("nfsv3", recorder=True)
-    assert plain.recorder is None
-    assert recorded.recorder is not None
-    # Observe-only: same simulated clock, same event sequence length.
-    assert recorded.now == plain.now
-    assert recorded.sim._sequence == plain.sim._sequence
-    # But the rings saw the run: kernel events and both wire directions.
-    assert recorded.recorder.events
-    directions = {entry[1] for entry in recorded.recorder.messages}
-    assert directions == {"c2s", "s2c"}
-    assert recorded.recorder.dumps == []  # clean run: no findings
 
 
 # ---------------------------------------------------- renderers + folding

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core.comparison import STACK_KINDS
 from repro.sim import Resource, SimulationError, Simulator, Store, Timeout
 
 
@@ -463,7 +464,7 @@ class _Boom(Exception):
 
 
 class _StreamHook:
-    """A recorder stand-in: checks and digests the dispatched stream."""
+    """A per-record observer: checks and digests the dispatched stream."""
 
     def __init__(self):
         self.count = 0
@@ -664,9 +665,6 @@ def test_pending_counts_every_record_of_an_nfs_run():
             self.lane_depth = max([self.lane_depth]
                                   + [len(lane) for lane in sim._lanes.values()])
 
-        def note_message(self, direction, message):
-            pass
-
     sim.recorder = counter = Counter()
     stack.run(WORKLOADS["smoke"](stack.client), name="smoke")
     assert counter.lane_depth > 1      # retransmit timers waited in a lane
@@ -675,6 +673,63 @@ def test_pending_counts_every_record_of_an_nfs_run():
     sim.run(until=sim.now + 1.5)
     assert len(seen) > dispatched
     assert len(sim.pending()) == sim._sequence - len(seen)
+
+
+# -- the per-record observer --------------------------------------------------
+# ``Simulator.recorder`` holds any object with a ``note_event(record)``
+# method, and the dispatch loop calls it once per calendar record.  That
+# is the whole contract: nothing else on a full stack may call into it.
+
+
+def _records_dispatched(sim):
+    # Between runs every record not yet dispatched is pending (heap,
+    # FIFO or lane), so the rest of the sequence numbers were dispatched.
+    return sim._sequence - len(sim.pending())
+
+
+def _smoke_run(config, observer):
+    """The smoke workload and a quiesce on one testbed, ``observer``
+    attached first (``None``: a plain run).  Returns the records
+    dispatched from the attachment on, the message counters and the
+    final clock."""
+    from repro.core.comparison import make_stack
+    from repro.core.multiclient import SharedNfsTestbed
+    from repro.core.params import IscsiParams, TestbedParams
+    from repro.obs.bench import WORKLOADS
+
+    if config == "shared-striped":
+        # The shared testbed mounts its servers when it is built.
+        bed = SharedNfsTestbed(nclients=2, nservers=2, striped=True)
+        start = _records_dispatched(bed.sim)
+        bed.sim.recorder = observer
+        bed.run(WORKLOADS["smoke"](bed.clients[0]), name="smoke")
+        bed.quiesce()
+        # A striped client's counters fan out, one per server.
+        return (_records_dispatched(bed.sim) - start,
+                [[counters.snapshot() for counters in fan.per_server]
+                 for fan in bed.counters],
+                bed.sim.now)
+    if config == "iscsi-mcs2":
+        stack = make_stack("iscsi", TestbedParams(
+            iscsi=IscsiParams(connections=2)), mounted=False)
+    else:
+        stack = make_stack(config, mounted=False)
+    start = _records_dispatched(stack.sim)
+    stack.sim.recorder = observer
+    stack.mount()
+    stack.run(WORKLOADS["smoke"](stack.client), name="smoke")
+    stack.quiesce()
+    return (_records_dispatched(stack.sim) - start,
+            stack.counters.snapshot(), stack.sim.now)
+
+
+@pytest.mark.parametrize("config",
+                         STACK_KINDS + ("iscsi-mcs2", "shared-striped"))
+def test_note_event_observer_sees_every_dispatched_record(config):
+    observer = _Dispatched()
+    dispatched, counters, now = _smoke_run(config, observer)
+    assert len(observer.records) == dispatched > 0
+    assert (dispatched, counters, now) == _smoke_run(config, None)
 
 
 # -- wake order ---------------------------------------------------------------
@@ -686,7 +741,7 @@ def test_pending_counts_every_record_of_an_nfs_run():
 
 
 class _Dispatched:
-    """A recorder stand-in: the (when, seq, kind) of each record."""
+    """A per-record observer: the (when, seq, kind) of each record."""
 
     def __init__(self):
         self.records = []

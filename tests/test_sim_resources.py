@@ -398,6 +398,37 @@ def test_mixed_storm_matches_recorded_stream_and_accounting(capacity):
     assert _mixed_storm(capacity) == _STORM_EXPECTED[capacity]
 
 
+def test_hold_end_record_names_the_process_it_resumes(sim):
+    """A release record's target is the process the hold end resumes,
+    and a queued acquirer is granted by one ``Resource._grant`` call1."""
+    cpu = Resource(sim, capacity=1, name="cpu")
+    records = []
+
+    class Observer:
+        def note_event(self, record):
+            records.append(record)
+
+    sim.recorder = Observer()
+
+    def worker():
+        yield from cpu.use(1.0)     # uncontended: the release record
+        yield from cpu.use(1.0)
+
+    def rival():
+        yield from cpu.use(0.5)     # queued: granted, then released
+
+    sim.spawn(worker(), name="worker")
+    sim.spawn(rival(), name="rival")
+    sim.run()
+    releases = [(when, target.name)
+                for when, _seq, kind, target, _payload in records
+                if kind == 4]
+    assert releases == [(1.0, "worker"), (1.5, "rival"), (2.5, "worker")]
+    grants = [kind for _when, _seq, kind, target, _payload in records
+              if getattr(target, "__qualname__", None) == "Resource._grant"]
+    assert grants == [1, 1]
+
+
 def test_use_rejects_negative_duration_before_queueing(sim):
     res = Resource(sim, capacity=1)
     unchanged = []
