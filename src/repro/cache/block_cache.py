@@ -14,16 +14,24 @@ This is the Linux buffer/page cache as the paper's analysis needs it:
 * dirty throttling — writers stall once the dirty fraction passes
   ``dirty_ratio`` until the flusher catches up, bounding data loss and
   memory use (and shaping the random-write times of Table 4).
+
+The buffers live in an ``OrderedDict`` kept in LRU order (a hit moves its
+block to the end, an insertion past capacity evicts the first), touched
+directly rather than through :class:`~repro.cache.policies.LruDict`: every
+block read and write of both stacks goes through here.  ``dirty_limit``
+is an attribute set at construction, as the capacity and ratio it comes
+from are.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from ..core.params import CacheParams
 from ..sim import Event, Simulator
 from ..storage.blockdev import BlockDevice
-from .policies import CacheStats, LruDict
+from .policies import CacheStats
 
 __all__ = ["BlockCache"]
 
@@ -59,9 +67,12 @@ class BlockCache:
         self.block_size = device.block_size
         self.capacity_blocks = max(1, capacity_bytes // self.block_size)
         self.max_coalesced_blocks = max(1, max_coalesced_bytes // self.block_size)
+        # Writers throttle at this many dirty blocks.
+        self.dirty_limit = max(1, int(self.capacity_blocks * self.params.dirty_ratio))
         self.name = name
         self.stats = CacheStats()
-        self._buffers: LruDict[int, _Buffer] = LruDict(self.capacity_blocks)
+        # Block -> buffer, least recently used first.
+        self._buffers: "OrderedDict[int, _Buffer]" = OrderedDict()
         self._dirty: Dict[int, _Buffer] = {}
         self._inflight: Dict[int, Event] = {}
         self._throttle_waiters: List[Event] = []
@@ -76,17 +87,13 @@ class BlockCache:
     def dirty_blocks(self) -> int:
         return len(self._dirty)
 
-    @property
-    def dirty_limit(self) -> int:
-        return max(1, int(self.capacity_blocks * self.params.dirty_ratio))
-
     def contains(self, block: int) -> bool:
         """True if ``block`` is resident in the cache."""
         return block in self._buffers
 
     def is_dirty(self, block: int) -> bool:
         """True if ``block`` is resident and dirty."""
-        buf = self._buffers.peek(block)
+        buf = self._buffers.get(block)
         return bool(buf and buf.dirty)
 
     # -- reads ----------------------------------------------------------------------
@@ -98,8 +105,14 @@ class BlockCache:
     def read(self, block: int) -> Iterable[Any]:
         """Ensure ``block`` is cached (one device read on miss).
 
-        An eager call: ``yield from`` the result.
+        An eager call: ``yield from`` the result.  An untraced hit is
+        counted here; anything else is :meth:`read_range` of one block.
         """
+        buffers = self._buffers
+        if block in buffers and self.sim.tracer is None:
+            buffers.move_to_end(block)
+            self.stats.hits += 1
+            return ()
         return self.read_range(block, 1)
 
     def read_range(self, start: int, count: int) -> Iterable[Any]:
@@ -112,8 +125,10 @@ class BlockCache:
         """
         missing: List[int] = []
         awaited: List[Event] = []
+        buffers = self._buffers
         for block in range(start, start + count):
-            if self._buffers.get(block) is not None:
+            if block in buffers:
+                buffers.move_to_end(block)
                 self.stats.hits += 1
             elif block in self._inflight:
                 # Another reader (e.g. a prefetcher) already issued the I/O.
@@ -153,9 +168,13 @@ class BlockCache:
     def write(self, block: int) -> Iterable[Any]:
         """Dirty ``block`` in cache (write-back; may throttle).
 
-        An eager call: ``yield from`` the result.
+        An eager call: ``yield from`` the result.  The one-block case of
+        :meth:`write_range`.
         """
-        return self.write_range(block, 1)
+        if len(self._dirty) >= self.dirty_limit:
+            return self._throttled_write(block, 1)
+        self._dirty_range(block, 1)
+        return ()
 
     def write_range(self, start: int, count: int) -> Iterable[Any]:
         """Dirty blocks [start, start+count) in cache.
@@ -177,11 +196,14 @@ class BlockCache:
         self._dirty_range(start, count)
 
     def _dirty_range(self, start: int, count: int) -> None:
+        buffers = self._buffers
         for block in range(start, start + count):
-            buf = self._buffers.get(block)
+            buf = buffers.get(block)
             if buf is None:
                 self._install(block, dirty=True)
-            elif not buf.dirty:
+                continue
+            buffers.move_to_end(block)
+            if not buf.dirty:
                 buf.dirty = True
                 buf.dirtied_at = self.sim.now
                 self._dirty[block] = buf
@@ -193,7 +215,7 @@ class BlockCache:
         """
         yield from self.device.write(start, count)
         for block in range(start, start + count):
-            buf = self._buffers.peek(block)
+            buf = self._buffers.get(block)
             if buf is not None and buf.dirty:
                 self._dirty.pop(block, None)
                 buf.dirty = False
@@ -215,7 +237,7 @@ class BlockCache:
             todo = sorted(b for b in blocks if b in self._dirty)
         for block in todo:
             # A concurrent flush may have cleaned it already.
-            buf = self._buffers.peek(block)
+            buf = self._buffers.get(block)
             if buf is not None and buf.dirty:
                 buf.dirty = False
             self._dirty.pop(block, None)
@@ -274,7 +296,7 @@ class BlockCache:
         (they await a *checkpoint* instead).
         """
         for block in blocks:
-            buf = self._buffers.peek(block)
+            buf = self._buffers.get(block)
             if buf is not None and buf.dirty:
                 buf.dirty = False
             self._dirty.pop(block, None)
@@ -287,7 +309,7 @@ class BlockCache:
         traffic — a key ingredient of iSCSI's PostMark numbers.
         """
         for block in blocks:
-            buf = self._buffers.pop(block)
+            buf = self._buffers.pop(block, None)
             if buf is not None and buf.dirty:
                 buf.dirty = False
             self._dirty.pop(block, None)
@@ -304,7 +326,15 @@ class BlockCache:
         buf = _Buffer()
         buf.dirty = dirty
         buf.dirtied_at = self.sim.now
-        evicted = self._buffers.put(block, buf)
+        buffers = self._buffers
+        evicted = None
+        if block in buffers:  # filled by a writer while its read was in flight
+            buffers[block] = buf
+            buffers.move_to_end(block)
+        else:
+            buffers[block] = buf
+            if len(buffers) > self.capacity_blocks:
+                evicted = buffers.popitem(last=False)
         if dirty:
             self._dirty[block] = buf
         self.stats.insertions += 1

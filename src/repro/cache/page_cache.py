@@ -4,14 +4,16 @@ Pages are keyed by ``(file_id, page_index)``.  Each page remembers when it
 was filled (for the NFS 30-second data-validity check) and whether it is
 dirty (for the client's bounded async-write pool).  Protocol-specific
 policies — revalidation, flush-on-limit — live in the NFS client; this
-class is the bookkeeping container.
+class is the bookkeeping container.  Like the block cache, it keeps its
+pages in an ``OrderedDict`` in LRU order and touches it directly.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .policies import CacheStats, LruDict
+from .policies import CacheStats
 
 __all__ = ["Page", "PageCache"]
 
@@ -38,9 +40,13 @@ class PageCache:
         on_evict_dirty: Optional[Callable[[int, int], None]] = None,
         name: str = "pagecache",
     ):
+        if capacity_pages < 1:
+            raise ValueError("capacity must be >= 1")
         self.name = name
+        self.capacity = capacity_pages
         self.stats = CacheStats()
-        self._pages: LruDict[PageKey, Page] = LruDict(capacity_pages)
+        # (file_id, index) -> page, least recently used first.
+        self._pages: "OrderedDict[PageKey, Page]" = OrderedDict()
         self._dirty: Set[PageKey] = set()
         # file_id -> indices of its cached pages, so dropping one file
         # costs its own pages, not a scan of the whole cache.
@@ -56,28 +62,31 @@ class PageCache:
 
     def lookup(self, file_id: int, index: int) -> Optional[Page]:
         """Return the page (counting a hit/miss) or None."""
-        page = self._pages.get((file_id, index))
-        if page is None:
-            self.stats.misses += 1
-        else:
+        key = (file_id, index)
+        pages = self._pages
+        if key in pages:
+            pages.move_to_end(key)
             self.stats.hits += 1
-        return page
+            return pages[key]
+        self.stats.misses += 1
+        return None
 
     def peek(self, file_id: int, index: int) -> Optional[Page]:
-        """Return the value for ``key`` without refreshing recency."""
-        return self._pages.peek((file_id, index))
+        """Return the page without refreshing recency, or None."""
+        return self._pages.get((file_id, index))
 
     def insert(self, file_id: int, index: int, now: float, dirty: bool = False) -> None:
         """Install a page filled at ``now`` (optionally dirty), evicting LRU."""
         key = (file_id, index)
-        existing = self._pages.peek(key)
+        pages = self._pages
+        existing = pages.get(key)
         if existing is not None:
             existing.filled_at = now
             if dirty and not existing.dirty:
                 existing.dirty = True
                 existing.dirtied_at = now
                 self._dirty.add(key)
-            self._pages.get(key)  # refresh recency
+            pages.move_to_end(key)  # refresh recency
             return
         page = Page(now)
         if dirty:
@@ -90,9 +99,9 @@ class PageCache:
             self._by_file[file_id] = {index}
         else:
             indices.add(index)
-        evicted = self._pages.put(key, page)
-        if evicted is not None:
-            evicted_key, evicted_page = evicted
+        pages[key] = page
+        if len(pages) > self.capacity:
+            evicted_key, evicted_page = pages.popitem(last=False)
             self.stats.evictions += 1
             evicted_file, evicted_index = evicted_key
             indices = self._by_file[evicted_file]
@@ -107,7 +116,7 @@ class PageCache:
     def mark_clean(self, file_id: int, index: int) -> None:
         """Clear a page's dirty state."""
         key = (file_id, index)
-        page = self._pages.peek(key)
+        page = self._pages.get(key)
         if page is not None:
             page.dirty = False
         self._dirty.discard(key)
@@ -122,7 +131,7 @@ class PageCache:
         """Drop every page of ``file_id`` (dirty pages are discarded)."""
         for index in self._by_file.pop(file_id, ()):
             key = (file_id, index)
-            self._pages.pop(key)
+            self._pages.pop(key, None)
             self._dirty.discard(key)
 
     def clear(self) -> None:

@@ -129,13 +129,16 @@ _GLOBAL_RNG_FNS = frozenset({
 
 # P203: simulator calls whose *result* must be yielded (from).  A bare
 # expression statement discards it: for a factory (timeout, event) the
-# call then does nothing, and for an eager call (use, acquire,
-# read_range, write_range) it acts without the process waiting, so the
-# process is resumed later unbidden or runs ahead of its I/O.  ``read``
-# and ``write`` are left out: they would flag file objects.
+# call then does nothing, and for an eager call (use, acquire, park,
+# read_range, write_range, and the layers' helpers that usually finish
+# at once: _dirty_inode, _update_atime, _invalidate) it acts without the
+# process waiting, so the process is resumed later unbidden or runs
+# ahead of its I/O.  ``read`` and ``write`` are left out: they would flag
+# file objects.
 _SIM_RESULT_CALLS = frozenset({
     "timeout", "event", "any_of", "all_of", "acquire", "use",
     "hold", "park", "read_range", "write_range",
+    "_dirty_inode", "_update_atime", "_invalidate",
 })
 
 # P201: the entry points that turn a generator into a process.

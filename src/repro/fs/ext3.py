@@ -159,11 +159,24 @@ class Ext3Fs:
             yield from self.cache.read(self.layout.inode_table_block(ino))
         return inode
 
-    def _dirty_inode(self, inode: Inode) -> Generator:
+    def _dirty_inode(self, inode: Inode) -> Iterable[Any]:
+        """Dirty ``inode``'s table block and join it to the journal.
+
+        An eager call: below the cache's dirty limit the block is dirtied
+        and journaled now and the result is empty; at the limit the result
+        waits out the write throttle, and the block joins the journal
+        after that wait.  ``yield from`` the result.
+        """
         block = self.layout.inode_table_block(inode.ino)
-        yield from self.cache.write(block)
+        throttled = self.cache.write(block)
+        if throttled:
+            return self._journal_after(throttled, block)
         self.journal.add_metadata(block)
-        return None
+        return ()
+
+    def _journal_after(self, throttled: Generator, block: int) -> Generator:
+        yield from throttled
+        self.journal.add_metadata(block)
 
     # -- directory internals ------------------------------------------------------------
 
@@ -635,12 +648,12 @@ class Ext3Fs:
         # runs at this process's first resume, not at spawn time.
         yield from self.cache.read_range(start, count)
 
-    def _update_atime(self, inode: Inode) -> Generator:
+    def _update_atime(self, inode: Inode) -> Iterable[Any]:
+        """Stamp the access time; an eager call, ``yield from`` the result."""
         if not self.params.atime_updates:
-            return None
+            return ()
         inode.atime = self.sim.now
-        yield from self._dirty_inode(inode)
-        return None
+        return self._dirty_inode(inode)
 
     def _charge(self, cost: float) -> Iterable[Any]:
         """Charge filesystem CPU; an eager call, ``yield from`` the result."""

@@ -163,19 +163,14 @@ class IscsiInitiator(BlockDevice):
                                 track="client", dev=self.name)
         return None
 
-    def _exchange(self, op: str, payload: int, **body) -> Generator:
-        """One command exchange, re-queued across session drops."""
-        header = self.params.command_header_bytes
-        call = self.rpc.call if self.session is None else self.session.call
-        if not self.fault_mode:
-            reply = yield from call(
-                op, payload_bytes=payload, header_bytes=header, **body)
-            return reply
+    def _requeued_exchange(self, call, op: str, payload: int, header: int,
+                           lba: int, count: int) -> Generator:
+        """One command exchange in fault mode, re-queued across session drops."""
         while True:
             if not self._session_up:
                 yield self._up_event
             attempt = self.sim.spawn(
-                call(op, payload_bytes=payload, header_bytes=header, **body),
+                call(op, payload, header, lba=lba, count=count),
                 name=self.name + "." + op,
             )
             winner, value = yield self.sim.any_of([attempt, self._drop_event])
@@ -199,7 +194,13 @@ class IscsiInitiator(BlockDevice):
             yield from self._charge(
                 self.cpu_params.scsi_layer + self.cpu_params.driver_layer
             )
-            yield from self._exchange(op, payload, lba=lba, count=count)
+            call = self.rpc.call if self.session is None else self.session.call
+            header = self.params.command_header_bytes
+            if self.fault_mode:
+                yield from self._requeued_exchange(
+                    call, op, payload, header, lba, count)
+            else:
+                yield from call(op, payload, header, lba=lba, count=count)
             self.commands_completed += 1
         finally:
             if span is not None:

@@ -26,8 +26,11 @@ _xid_counter = itertools.count(1)
 class Message:
     """One protocol message on the wire."""
 
+    # ``size`` is an attribute set at construction, not a property: a
+    # message's sizes never change, and every layer that charges or
+    # counts a message reads it.
     __slots__ = ("op", "kind", "xid", "header_bytes", "payload_bytes",
-                 "body", "is_retransmission", "span_id", "cancelled")
+                 "size", "body", "is_retransmission", "span_id", "cancelled")
 
     def __init__(
         self,
@@ -48,6 +51,7 @@ class Message:
         self.xid = next(_xid_counter) if xid is None else xid
         self.header_bytes = header_bytes
         self.payload_bytes = payload_bytes
+        self.size = header_bytes + payload_bytes
         self.body = {} if body is None else body
         self.is_retransmission = is_retransmission
         self.span_id = span_id
@@ -55,10 +59,6 @@ class Message:
         # down (RPC reset): the receiver discards it on arrival, exactly
         # as a TCP teardown loses undelivered bytes.
         self.cancelled = False
-
-    @property
-    def size(self) -> int:
-        return self.header_bytes + self.payload_bytes
 
     def make_reply(self, payload_bytes: int = 0, **body: Any) -> "Message":
         """Build the reply paired with this request (same xid)."""

@@ -14,6 +14,15 @@ Both NFS ends are :class:`RpcPeer` objects.  A peer can
 
 Server→client calls use the same machinery, which is how the Section-7
 enhancements implement cache-invalidation callbacks and delegation recalls.
+
+Each peer's dispatcher is one process that takes its inbox's messages by
+the eager hand-off of :meth:`repro.sim.resources.Store.park`: a queued
+message is taken at once, and on an empty inbox the process parks until
+the put that delivers the next message resumes it with that message.
+A request's body is the dict of :meth:`RpcPeer.call`'s keywords, which
+the request message keeps rather than copies, and its size, which the
+peers charge and the transport counts, is an attribute set when the
+message is built, not a property.
 """
 
 from __future__ import annotations
@@ -228,8 +237,15 @@ class RpcPeer:
     # -- serving ----------------------------------------------------------------
 
     def _dispatch_loop(self) -> Generator:
+        # The eager inbox hand-off: a queued message is taken at once, and
+        # on an empty inbox the loop parks itself; the put that delivers
+        # the next message resumes it with that message.  No Store.get
+        # generator per message.
+        inbox = self.endpoint.inbox
         while True:
-            message = yield from self.endpoint.inbox.get()
+            message = inbox.get_nowait()
+            if message is None:
+                message = yield inbox.park()
             if message.kind == REPLY:
                 self._complete_call(message)
             else:

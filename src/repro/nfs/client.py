@@ -147,6 +147,10 @@ class NfsClient:
         self._wb_drain_waiters: List[Tuple[Optional[int], Event]] = []
         self._uncommitted: Set[int] = set()
         self.writeback_delay = self.params.writeback_delay
+        # The write-back bounds are attributes, not properties: they derive
+        # from params that never change, and every write reads them.
+        self._wb_limit = max(1, self.params.max_pending_writes)
+        self._wb_backlog_limit = self._wb_limit * 4
         self._wb_daemon = sim.spawn(self._writeback_loop(), name=name + ".wb")
 
         # Section-7 directory delegation state
@@ -168,8 +172,8 @@ class NfsClient:
     # ======================================================================
 
     def _call(self, op: str, payload_bytes: int = 0, **body) -> Generator:
-        body.setdefault("client", self.client_id)
-        reply = yield from self.rpc.call(op, payload_bytes=payload_bytes, **body)
+        reply = yield from self.rpc.call(op, payload_bytes, **body,
+                                         client=self.client_id)
         status = reply.body.get("status", p.NfsStatus.OK)
         if status != p.NfsStatus.OK:
             error = p.NfsStatus.to_exception(status, reply.body.get("detail", op))
@@ -992,14 +996,6 @@ class NfsClient:
     # ======================================================================
     # write-back machinery
     # ======================================================================
-
-    @property
-    def _wb_limit(self) -> int:
-        return max(1, self.params.max_pending_writes)
-
-    @property
-    def _wb_backlog_limit(self) -> int:
-        return self._wb_limit * 4
 
     def _wb_enqueue(self, ino: int, index: int) -> None:
         key = (ino, index)

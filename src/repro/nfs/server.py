@@ -20,7 +20,7 @@ Version-relevant behaviors:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Set
+from typing import Any, Dict, Generator, Iterable, Optional, Set
 
 from ..core.params import CpuParams, NfsParams
 from ..fs.errors import FsError, FileNotFound
@@ -184,19 +184,15 @@ class NfsServer:
             if span is not None:
                 tracer.end_span(span)
 
-    def _inode(self, ino: int) -> Generator:
-        # iget's own coroutine: no wrapper frame per NFS procedure.
-        return self.fs.iget(ino)
-
     # -- procedures -------------------------------------------------------------------
 
     def _op_getattr(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         self._register_cache(inode.ino, args.get("client"))
         return p.ATTR_BYTES, {"status": p.NfsStatus.OK, "attrs": _pack_attrs(inode)}
 
     def _op_setattr(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         yield from self.fs.setattr(
             inode,
             mode=args.get("mode"),
@@ -210,7 +206,7 @@ class NfsServer:
         return p.ATTR_BYTES, {"status": p.NfsStatus.OK, "attrs": _pack_attrs(inode)}
 
     def _op_lookup(self, args: Dict) -> Generator:
-        parent = yield from self._inode(args["dir"])
+        parent = yield from self.fs.iget(args["dir"])
         try:
             ino = yield from self.fs.dir_lookup(parent, args["name"])
         except FileNotFound:
@@ -222,7 +218,7 @@ class NfsServer:
             if not recalled:
                 raise
             ino = yield from self.fs.dir_lookup(parent, args["name"])
-        inode = yield from self._inode(ino)
+        inode = yield from self.fs.iget(ino)
         self._register_cache(ino, args.get("client"))
         return (
             p.FH_BYTES + p.ATTR_BYTES,
@@ -230,7 +226,7 @@ class NfsServer:
         )
 
     def _op_access(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         ok = self.fs.access(inode, args.get("want", 4), args.get("uid", 0))
         self._register_cache(inode.ino, args.get("client"))
         return p.ATTR_BYTES, {
@@ -240,12 +236,12 @@ class NfsServer:
         }
 
     def _op_readlink(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         target = yield from self.fs.readlink(inode)
         return len(target), {"status": p.NfsStatus.OK, "target": target}
 
     def _op_read(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         done = yield from self.fs.read_file(inode, args["offset"], args["count"])
         return done, {
             "status": p.NfsStatus.OK,
@@ -255,7 +251,7 @@ class NfsServer:
         }
 
     def _op_write(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         lock = self._write_locks.get(inode.ino)
         if lock is None:
             lock = Resource(self.sim, capacity=1, name="%s.wlock.%d" % (self.name, inode.ino))
@@ -280,7 +276,7 @@ class NfsServer:
         }
 
     def _op_create(self, args: Dict) -> Generator:
-        parent = yield from self._inode(args["dir"])
+        parent = yield from self.fs.iget(args["dir"])
         inode = yield from self.fs.create(parent, args["name"], args.get("mode", 0o644))
         yield from self._invalidate(parent.ino, args.get("client"))
         self._register_cache(inode.ino, args.get("client"))
@@ -295,7 +291,7 @@ class NfsServer:
         )
 
     def _op_mkdir(self, args: Dict) -> Generator:
-        parent = yield from self._inode(args["dir"])
+        parent = yield from self.fs.iget(args["dir"])
         inode = yield from self.fs.mkdir(parent, args["name"], args.get("mode", 0o755))
         yield from self._invalidate(parent.ino, args.get("client"))
         self._register_cache(inode.ino, args.get("client"))
@@ -310,7 +306,7 @@ class NfsServer:
         )
 
     def _op_symlink(self, args: Dict) -> Generator:
-        parent = yield from self._inode(args["dir"])
+        parent = yield from self.fs.iget(args["dir"])
         inode = yield from self.fs.symlink(parent, args["name"], args["target"])
         yield from self._invalidate(parent.ino, args.get("client"))
         body = {"status": p.NfsStatus.OK, "ino": inode.ino}
@@ -321,7 +317,7 @@ class NfsServer:
         return payload, body
 
     def _op_remove(self, args: Dict) -> Generator:
-        parent = yield from self._inode(args["dir"])
+        parent = yield from self.fs.iget(args["dir"])
         yield from self.fs.unlink(parent, args["name"])
         yield from self._invalidate(parent.ino, args.get("client"))
         body = {"status": p.NfsStatus.OK}
@@ -330,7 +326,7 @@ class NfsServer:
         return p.ATTR_BYTES, body
 
     def _op_rmdir(self, args: Dict) -> Generator:
-        parent = yield from self._inode(args["dir"])
+        parent = yield from self.fs.iget(args["dir"])
         yield from self.fs.rmdir(parent, args["name"])
         yield from self._invalidate(parent.ino, args.get("client"))
         body = {"status": p.NfsStatus.OK}
@@ -339,8 +335,8 @@ class NfsServer:
         return p.ATTR_BYTES, body
 
     def _op_rename(self, args: Dict) -> Generator:
-        src = yield from self._inode(args["src_dir"])
-        dst = yield from self._inode(args["dst_dir"])
+        src = yield from self.fs.iget(args["src_dir"])
+        dst = yield from self.fs.iget(args["dst_dir"])
         yield from self.fs.rename(src, args["src_name"], dst, args["dst_name"])
         yield from self._invalidate(src.ino, args.get("client"))
         if dst.ino != src.ino:
@@ -353,8 +349,8 @@ class NfsServer:
         return payload, body
 
     def _op_link(self, args: Dict) -> Generator:
-        parent = yield from self._inode(args["dir"])
-        target = yield from self._inode(args["target"])
+        parent = yield from self.fs.iget(args["dir"])
+        target = yield from self.fs.iget(args["target"])
         yield from self.fs.link(parent, args["name"], target)
         yield from self._invalidate(parent.ino, args.get("client"))
         yield from self._invalidate(target.ino, args.get("client"))
@@ -366,7 +362,7 @@ class NfsServer:
         return payload, body
 
     def _op_readdir(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         names = yield from self.fs.readdir(inode)
         self._register_cache(inode.ino, args.get("client"))
         payload = p.DIRENT_BYTES * len(names) + p.ATTR_BYTES
@@ -377,7 +373,7 @@ class NfsServer:
         }
 
     def _op_commit(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         yield from self.fs.fsync(inode)
         return 8, {"status": p.NfsStatus.OK, "attrs": _pack_attrs(inode)}
 
@@ -389,11 +385,11 @@ class NfsServer:
         work, returning the resolved inode numbers and the final object's
         attributes.
         """
-        current = yield from self._inode(args["dir"])
+        current = yield from self.fs.iget(args["dir"])
         resolved = []
         for name in args["names"]:
             ino = yield from self.fs.dir_lookup(current, name)
-            current = yield from self._inode(ino)
+            current = yield from self.fs.iget(ino)
             if args.get("access_checks"):
                 self.fs.access(current, 1, args.get("uid", 0))
             resolved.append({"name": name, "ino": ino,
@@ -424,7 +420,7 @@ class NfsServer:
         The hop reads the export root — the MDS touches its namespace
         state before answering, so the grant costs a real server visit.
         """
-        yield from self._inode(self.root_ino)
+        yield from self.fs.iget(self.root_ino)
         layout = self.state.layout
         self.state.layouts_granted += 1
         if layout is None:
@@ -440,7 +436,7 @@ class NfsServer:
     # -- v4 statefulness ------------------------------------------------------------------
 
     def _op_open(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         delegated = bool(self.params.file_delegation and inode.is_file)
         if delegated:
             self.state.delegations_granted += 1
@@ -451,7 +447,7 @@ class NfsServer:
         }
 
     def _op_close(self, args: Dict) -> Generator:
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         return 8, {"status": p.NfsStatus.OK, "attrs": _pack_attrs(inode)}
 
     def _op_open_confirm(self, args: Dict) -> Generator:
@@ -465,7 +461,7 @@ class NfsServer:
         with authoritative inode numbers and replay them later in one
         DELEGUPDATE batch (DESIGN.md, Section-7 enhancements).
         """
-        inode = yield from self._inode(args["ino"])
+        inode = yield from self.fs.iget(args["ino"])
         if not inode.is_dir:
             return 0, {"status": p.NfsStatus.NOTDIR}
         holder = self.state.dir_delegations.get(inode.ino)
@@ -522,27 +518,27 @@ class NfsServer:
     def _apply_record(self, record: Dict) -> Generator:
         kind = record["kind"]
         if kind == "mkdir":
-            parent = yield from self._inode(record["dir"])
+            parent = yield from self.fs.iget(record["dir"])
             inode = yield from self.fs.mkdir(
                 parent, record["name"], record.get("mode", 0o755),
                 ino=record.get("ino"),
             )
             record["result_ino"] = inode.ino
         elif kind == "create":
-            parent = yield from self._inode(record["dir"])
+            parent = yield from self.fs.iget(record["dir"])
             inode = yield from self.fs.create(
                 parent, record["name"], record.get("mode", 0o644),
                 ino=record.get("ino"),
             )
             record["result_ino"] = inode.ino
         elif kind == "remove":
-            parent = yield from self._inode(record["dir"])
+            parent = yield from self.fs.iget(record["dir"])
             yield from self.fs.unlink(parent, record["name"])
         elif kind == "rmdir":
-            parent = yield from self._inode(record["dir"])
+            parent = yield from self.fs.iget(record["dir"])
             yield from self.fs.rmdir(parent, record["name"])
         elif kind == "setattr":
-            inode = yield from self._inode(record["ino"])
+            inode = yield from self.fs.iget(record["ino"])
             yield from self.fs.setattr(
                 inode,
                 mode=record.get("mode"),
@@ -553,12 +549,12 @@ class NfsServer:
                 mtime=record.get("mtime"),
             )
         elif kind == "link":
-            parent = yield from self._inode(record["dir"])
-            target = yield from self._inode(record["target"])
+            parent = yield from self.fs.iget(record["dir"])
+            target = yield from self.fs.iget(record["target"])
             yield from self.fs.link(parent, record["name"], target)
         elif kind == "rename":
-            src = yield from self._inode(record["src_dir"])
-            dst = yield from self._inode(record["dst_dir"])
+            src = yield from self.fs.iget(record["src_dir"])
+            dst = yield from self.fs.iget(record["dst_dir"])
             yield from self.fs.rename(src, record["src_name"], dst, record["dst_name"])
         else:
             raise FsError("unknown delegated record kind %r" % (kind,))
@@ -584,10 +580,18 @@ class NfsServer:
             return
         self.state.cache_registry.setdefault(ino, set()).add(client)
 
-    def _invalidate(self, ino: int, mutating_client: Optional[str]) -> Generator:
-        """Send CB_INVALIDATE to every *other* client caching ``ino``."""
+    def _invalidate(self, ino: int, mutating_client: Optional[str]) -> Iterable[Any]:
+        """Send CB_INVALIDATE to every *other* client caching ``ino``.
+
+        An eager call: without the consistent meta-data cache there is no
+        callback to send and the result is empty.  ``yield from`` it.
+        """
         if not self.params.consistent_metadata_cache:
-            return None
+            return ()
+        return self._send_invalidations(ino, mutating_client)
+
+    def _send_invalidations(self, ino: int,
+                            mutating_client: Optional[str]) -> Generator:
         holders = self.state.cache_registry.get(ino, set())
         for holder in sorted(holders):
             if holder == mutating_client:

@@ -92,15 +92,32 @@ took, so the firing order and every simulated output are those of the
 gate-based hand-off.
 
 That makes ``use`` an *eager call*, like ``Resource.acquire``, the
-layers' ``_charge`` helpers and ``BlockCache.read``/``read_range``/
-``write``/``write_range``: a plain method that acts when it is called
-and returns what the caller must ``yield from`` — an empty tuple when
-there is nothing to wait for, otherwise the hold sentinel or a
-generator.  Call sites keep the coroutine spelling ``yield from
-x.use(d)``; the result must never be dropped (simlint P203), and the
-call must never be handed to :meth:`Simulator.spawn`, which would do its
-work at spawn time instead of at the new process's first resume (wrap
-it in a small generator instead).
+layers' ``_charge`` helpers, ``BlockCache.read``/``read_range``/
+``write``/``write_range`` and the helpers that usually finish at once
+(``Ext3Fs._dirty_inode``/``_update_atime``, ``NfsServer._invalidate``):
+a plain method that acts when it is called and returns what the caller
+must ``yield from`` — an empty tuple when there is nothing to wait for,
+otherwise the hold sentinel or a generator.  Call sites keep the
+coroutine spelling ``yield from x.use(d)``; the result must never be
+dropped (simlint P203), and the call must never be handed to
+:meth:`Simulator.spawn`, which would do its work at spawn time instead
+of at the new process's first resume (wrap it in a small generator
+instead).  ``Store.park`` is the eager form of a blocking get: ``item =
+yield store.park()`` parks the running process, and the ``put`` that
+feeds it unparks it with the item, so the RPC dispatcher takes each
+message from its inbox without a ``Store.get`` generator per message
+(the *eager inbox hand-off*).
+
+A frame on the path from a dispatched record to its work should do work,
+not only forward: the profiled calls per record
+(``benchmarks/call_count.py``) count every such frame.  So a value
+derived from constructor arguments that never change is an attribute
+set at construction, not a property
+(``Message.size``, ``BlockCache.dirty_limit``, the NFS client's
+write-back bounds): a property is a Python call at every read.  For the
+same reason ``Process.__init__`` sets the event fields itself, as
+``Timeout`` does, and the caches keep their LRU order in an
+``OrderedDict`` they touch directly.
 
 Instruments
 -----------
@@ -283,7 +300,14 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator, got %r" % (generator,))
-        super().__init__(sim)
+        # Event's fields, set here as Timeout sets them: one spawn per
+        # process makes the Event.__init__ frame a measurable cost.
+        self.sim = sim
+        self.triggered = False
+        self.ok = None
+        self.value = None
+        self._callbacks = []
+        self.defused = False
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Optional[Event] = None
@@ -533,25 +557,15 @@ class Simulator:
                  (self.now + delay, seq, _KIND_RESUME, proc, None))
         return _HOLD
 
-    def park(self) -> Any:
-        """Suspend the *currently running* process with no Event.
-
-        The counterpart of :meth:`hold` for wakeups another party
-        delivers (queue hand-off): the caller stashes
-        ``sim._active_process`` somewhere, yields the returned sentinel,
-        and the other party later calls :meth:`unpark` with that process.
-        The same caveats as :meth:`hold` apply.
-        """
-        if self._active_process is None:
-            raise SimulationError("park() outside a running process")
-        return _HOLD
-
     def unpark(self, proc: "Process", value: Any = None) -> None:
         """Resume a parked process at the current instant with ``value``.
 
-        Occupies the same ``(when, seq)`` slot that triggering a wait
-        event here would, so firing order matches the Event-based
-        hand-off it replaces.
+        A parked process yielded the hold sentinel with no record pending
+        for it, having stashed itself where another party finds it
+        (:meth:`repro.sim.resources.Store.park`); that party wakes it
+        here.  The record occupies the same ``(when, seq)`` slot that
+        triggering a wait event here would, so firing order matches the
+        Event-based hand-off it replaces.
         """
         self._sequence = seq = self._sequence + 1
         self._fifo.append((self.now, seq, _KIND_RESUME, proc, value))

@@ -37,7 +37,11 @@ or resumes the process (``acquire``).  ``ResourceStats`` and
 ``UtilizationTracker`` are updated once per transition (enqueue, enter
 service, leave service), each with the float operations of its own
 ``_accumulate`` step, so their figures are bit-identical to what
-separate per-call accounting hooks would produce.
+separate per-call accounting hooks would produce.  Each transition runs
+in one frame, with the accumulate steps written out rather than called;
+:meth:`Resource.release` is the one implementation of leaving service,
+and :meth:`~repro.sim.stats.LatencyHistogram.record` of recording a
+wait.
 
 Eager calls
 -----------
@@ -48,6 +52,18 @@ P203) and the call is never handed to ``sim.spawn``, which would do its
 work at spawn time rather than at the new process's first resume.  A
 hold cannot be cut short: the unit is released when the hold's record
 fires.
+
+:meth:`Store.park` is the eager half of a blocking get, for a process
+that takes items in a loop: after :meth:`Store.get_nowait` found the
+store empty, ``item = yield store.park()`` parks the process, and the
+:meth:`Store.put` that feeds it unparks it with the item (one resume
+record, the slot a triggered gate event would take).  The RPC dispatcher
+takes its messages this way, with no ``Store.get`` generator per message.
+The transitions read plain attributes only: as everywhere on the request
+path (see the kernel's performance notes), a value derived from fixed
+construction arguments is set once, not recomputed by a property; the
+properties here (``queue_length``, ``ResourceStats.elapsed``) serve
+reports.
 """
 
 from __future__ import annotations
@@ -148,7 +164,7 @@ class Resource:
         """
         if self.available > 0 and not self._waiters:
             self.available -= 1
-            self._enter(0.0, False)
+            self._enter()
             return ()
         proc = self.sim._active_process
         if proc is None:
@@ -209,7 +225,7 @@ class Resource:
             raise SimulationError("use() outside a running process")
         if self.available > 0 and not self._waiters:
             self.available -= 1
-            # _enter(0.0, False), inlined: this runs once per charge.
+            # _enter(), inlined: this runs once per charge.
             now = sim.now
             stats = self.stats
             dt = now - stats._last_change
@@ -232,32 +248,61 @@ class Resource:
         return _WAIT
 
     # -- transitions and records --------------------------------------------------
-    # Each transition (_enqueue, _enter and its inlined copy in use, and
-    # release above) updates ResourceStats and UtilizationTracker once,
-    # with the float operations of their _accumulate() steps.
+    # Each transition (_enqueue; _enter and its inlined copy in use; the
+    # grant; release above) runs in one frame and updates ResourceStats
+    # and UtilizationTracker once, with the float operations of their
+    # _accumulate() steps.
 
     def _enqueue(self, proc: Process, duration: Optional[float]) -> None:
         """Queue ``proc``; a later release grants it the unit."""
-        stats = self.stats
-        stats._accumulate()
-        stats._queue_len += 1
-        # Seen by the sanitizer's deadlock check (S401) if the run ends
-        # with the process still queued.
-        proc._waiting_on = self
-        self._waiters.append((proc, self.sim.now, duration))
-
-    def _enter(self, wait: float, from_queue: bool) -> None:
-        """One unit enters service after ``wait`` seconds in the queue."""
         now = self.sim.now
         stats = self.stats
-        # Both accumulators, inlined: this runs once per charge.
         dt = now - stats._last_change
         if dt > 0.0:
             stats.busy_time += stats._in_service * dt
             stats._queue_integral += stats._queue_len * dt
             stats._last_change = now
-        if from_queue:
-            stats._queue_len -= 1
+        stats._queue_len += 1
+        # Seen by the sanitizer's deadlock check (S401) if the run ends
+        # with the process still queued.
+        proc._waiting_on = self
+        self._waiters.append((proc, now, duration))
+
+    def _enter(self) -> None:
+        """A free unit enters service at once (no wait)."""
+        now = self.sim.now
+        stats = self.stats
+        dt = now - stats._last_change
+        if dt > 0.0:
+            stats.busy_time += stats._in_service * dt
+            stats._queue_integral += stats._queue_len * dt
+            stats._last_change = now
+        stats._in_service += 1
+        stats.acquisitions += 1
+        tracker = self.tracker
+        if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
+            tracker.busy_time += tracker._in_service * (now - tracker._last_change)
+            tracker._last_change = now
+        tracker._in_service += 1
+
+    def _grant(self, waiter: Tuple[Process, float, Optional[float]]) -> None:
+        """The grant record: ``waiter`` takes the unit a release handed it.
+
+        The unit leaves the queue and enters service after the waiter's
+        wait, then the hold starts (``use``) or the process resumes
+        (``acquire``).
+        """
+        proc, arrived, duration = waiter
+        sim = self.sim
+        now = sim.now
+        wait = now - arrived
+        stats = self.stats
+        dt = now - stats._last_change
+        if dt > 0.0:
+            stats.busy_time += stats._in_service * dt
+            stats._queue_integral += stats._queue_len * dt
+            stats._last_change = now
+        stats._queue_len -= 1
         stats._in_service += 1
         stats.acquisitions += 1
         if wait > 0.0:
@@ -271,18 +316,12 @@ class Resource:
             tracker.busy_time += tracker._in_service * (now - tracker._last_change)
             tracker._last_change = now
         tracker._in_service += 1
-
-    def _grant(self, waiter: Tuple[Process, float, Optional[float]]) -> None:
-        """The grant record: ``waiter`` takes the unit a release handed it."""
-        proc, arrived, duration = waiter
-        sim = self.sim
-        self._enter(sim.now - arrived, True)
         if duration is None:
             proc._resume(None, None)
         else:
             sim._sequence = seq = sim._sequence + 1
             heappush(sim._calendar,
-                     (sim.now + duration, seq, _KIND_RELEASE, proc, self))
+                     (now + duration, seq, _KIND_RELEASE, proc, self))
 
 
 class Store:
@@ -314,13 +353,25 @@ class Store:
         """Coroutine: return the oldest item, blocking while empty."""
         if self._items:
             return self._items.popleft()
-        sim = self.sim
-        # park() raises outside a running process: before queueing, so a
-        # failed get leaves no getter behind for put() to feed.
-        wait = sim.park()
-        self._getters.append(sim._active_process)
-        item = yield wait
+        item = yield self.park()
         return item
+
+    def park(self) -> Any:
+        """Queue the running process as a getter; ``yield`` the result.
+
+        The blocking half of :meth:`get` as an eager call, for a process
+        that takes items in a loop (the RPC dispatcher): after
+        :meth:`get_nowait` found the store empty, ``message = yield
+        store.park()`` suspends the process, and the :meth:`put` that
+        feeds it resumes it with the item as the value of that ``yield``.
+        No generator is created per item.  Outside a running process it
+        raises :class:`SimulationError` before queueing anything.
+        """
+        proc = self.sim._active_process
+        if proc is None:
+            raise SimulationError("park() outside a running process")
+        self._getters.append(proc)
+        return _HOLD
 
     def get_nowait(self) -> Optional[Any]:
         """Return the oldest item or ``None`` without blocking."""

@@ -226,6 +226,21 @@ def test_p203_flags_dropped_eager_calls():
     assert "must be yielded from" in simlint.RULES["P203"].hint
 
 
+def test_p203_flags_dropped_eager_layer_helpers():
+    # The ext3 and NFS server helpers return () when nothing waits, so a
+    # dropped result passes every run that never reaches their waiting
+    # branch (a throttled cache, a CB_INVALIDATE callback).
+    src = ("def setattr(self, inode):\n"
+           "    self._dirty_inode(inode)\n"
+           "    self._update_atime(inode)\n"
+           "    self._invalidate(inode.ino, client)\n"
+           "    yield from self._dirty_inode(inode)\n"
+           "    yield from self._invalidate(inode.ino, client)\n")
+    violations = lint_source(src)
+    assert [(v.code, v.line) for v in violations] == [
+        ("P203", 2), ("P203", 3), ("P203", 4)]
+
+
 def test_p203_leaves_file_read_and_write_alone():
     src = ("def copy(src, dst):\n"
            "    dst.write(src.read(4096))\n"
@@ -274,22 +289,30 @@ def test_o302_suppressed():
     assert codes(src) == []
 
 
-def test_o303_negative_guarded_and_foreign_receivers():
-    src = ("recorder = self.recorder\n"
-           "if recorder is not None:\n"
-           "    recorder.note_event(record)\n")
-    assert codes(src) == []
-    # Plain truthiness on a recorder-ish name is also an accepted guard.
-    src = ("if self.recorder:\n"
-           "    self.recorder.note_message('s2c', msg)\n")
-    assert codes(src) == []
-    # `dump` on non-recorder receivers (json etc.) is not our hook.
-    assert codes("import json\njson.dump(doc, handle)\n") == []
+def test_o301_negative_guarded_and_foreign_receivers_of_a_sanitizer_hook():
+    # Each guarded form beside its positive control: the same hook call
+    # with the guard removed is flagged.
+    guarded = ("san = self.sim.san\n"
+               "if san is not None:\n"
+               "    san.note_send(self, msg)\n")
+    assert codes(guarded) == []
+    assert codes("san = self.sim.san\nsan.note_send(self, msg)\n") \
+        == ["O301"]
+    # Plain truthiness on a san-ish name is also an accepted guard.
+    guarded = ("if self.sim.san:\n"
+               "    self.sim.san.note_send(self, msg)\n")
+    assert codes(guarded) == []
+    assert codes("self.sim.san.note_send(self, msg)\n") == ["O301"]
+    # A hook name on a receiver that is not the sanitizer, and the
+    # sanitizer's own non-hook methods, are not hooks.
+    assert codes("peer.note_send(self, msg)\n") == []
+    assert codes("findings = san.verify()\n") == []
 
 
-def test_o303_suppressed():
-    src = "self.recorder.dump('S403', 'simsan', 'x')  # simlint: disable=O301\n"
-    assert codes(src) == []
+def test_o301_suppressed_sanitizer_hook():
+    hook = "self.sim.san.note_send(self, msg)"
+    assert codes(hook + "  # simlint: disable=O301\n") == []
+    assert codes(hook + "\n") == ["O301"]   # without the suppression
 
 
 def test_o301_covers_sanitizer_and_fault_hooks():
