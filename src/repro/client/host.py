@@ -22,9 +22,14 @@ class Host:
         self.cpu = Resource(sim, capacity=cpus, name=name + ".cpu")
 
     def reset_utilization_window(self) -> None:
-        """Start a fresh measurement window (a vmstat restart)."""
-        self.cpu.tracker.reset_window()
+        """Start a fresh measurement window (a vmstat restart).
+
+        This is the CPU's :meth:`~repro.sim.stats.ResourceStats.reset_window`:
+        every statistic of ``cpu.stats`` (busy time, acquisitions, waits,
+        the queue integral) restarts at the current instant.
+        """
+        self.cpu.stats.reset_window()
 
     def cpu_utilization(self) -> float:
         """Mean CPU utilization over the current window, in [0, 1]."""
-        return min(1.0, self.cpu.tracker.utilization())
+        return min(1.0, self.cpu.stats.utilization())

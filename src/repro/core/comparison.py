@@ -381,12 +381,12 @@ class StorageStack:
         telem = self.telemetry
         sim = self.sim
 
-        def busy_probe(tracker: Any, capacity: int):
-            # Works for both UtilizationTracker and ResourceStats: the
-            # busy-time integral extended to `now` without committing it.
+        def busy_probe(stats: Any, capacity: int):
+            # The ResourceStats busy-time integral extended to `now`
+            # without committing it.
             def probe() -> float:
-                return (tracker.busy_time + tracker._in_service
-                        * (sim.now - tracker._last_change)) / capacity
+                return (stats.busy_time + stats._in_service
+                        * (sim.now - stats._last_change)) / capacity
             return probe
 
         def depth_probe(resource: Any):
@@ -403,10 +403,10 @@ class StorageStack:
         client_cpu = self.client_host.cpu
         server_cpu = self.server_host.cpu
         telem.add_series("client.cpu.util",
-                         busy_probe(client_cpu.tracker, client_cpu.capacity),
+                         busy_probe(client_cpu.stats, client_cpu.capacity),
                          kind="cumulative", tag="util")
         telem.add_series("server.cpu.util",
-                         busy_probe(server_cpu.tracker, server_cpu.capacity),
+                         busy_probe(server_cpu.stats, server_cpu.capacity),
                          kind="cumulative", tag="util")
         telem.add_series("net.link.MBps",
                          lambda: float(self.link.total_bytes),

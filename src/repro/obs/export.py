@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .profile import format_table
 from .telemetry import Telemetry
 from .tracer import Span, Tracer
 
@@ -143,14 +144,7 @@ def format_op_summary(tracer: Tracer) -> str:
     headers, rows = op_summary(tracer)
     if not rows:
         return "(no protocol messages recorded)"
-    widths = [max(len(str(headers[i])),
-                  max(len(str(r[i])) for r in rows))
-              for i in range(len(headers))]
-    out = ["  ".join(str(h).ljust(w) for h, w in zip(headers, widths))]
-    out.append("-" * len(out[0]))
-    for row in rows:
-        out.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out)
+    return format_table(headers, rows)
 
 
 # -- Chrome trace_event -------------------------------------------------------

@@ -40,6 +40,7 @@ __all__ = [
     "Profile",
     "format_attribution",
     "format_critical_path",
+    "format_table",
     "resource_report",
     "format_resource_report",
 ]
@@ -230,7 +231,13 @@ class Profile:
 # -- text renderers -----------------------------------------------------------
 
 
-def _table(headers: List[str], rows: List[List[Any]]) -> str:
+def format_table(headers: Sequence[Any], rows: Sequence[Sequence[Any]]) -> str:
+    """``rows`` under ``headers`` as left-aligned columns, two spaces apart.
+
+    A rule as long as the header line separates the two; every cell is
+    ``str()``-ed.  The artifact tables (``paper.print_table``), the op
+    summary and the profile reports all print through this.
+    """
     widths = [max(len(str(headers[i])),
                   max((len(str(r[i])) for r in rows), default=0))
               for i in range(len(headers))]
@@ -261,7 +268,8 @@ def format_attribution(profile: Profile) -> str:
         ])
     rows.append(["total", sum(s.spans for s in attribution.values()),
                  "", "%.3f" % (total * 1e3), "100.0%"])
-    return _table(["layer", "spans", "incl ms", "excl ms", "excl %"], rows)
+    return format_table(["layer", "spans", "incl ms", "excl ms", "excl %"],
+                        rows)
 
 
 def format_critical_path(profile: Profile, name: Optional[str] = None,
@@ -288,7 +296,7 @@ def format_critical_path(profile: Profile, name: Optional[str] = None,
                      "%5.1f%%" % (100.0 * seconds / total), hops])
     title = "critical path for %s (%d ops, %.3f ms):" % (
         name if name is not None else "all roots", len(matching), total * 1e3)
-    table = _table(["rank", "segment", "ms", "share", "hops"], rows)
+    table = format_table(["rank", "segment", "ms", "share", "hops"], rows)
     if len(shown) < len(ranked):
         table += "\n(... %d more segments)" % (len(ranked) - len(shown))
     return title + "\n" + table
@@ -325,4 +333,4 @@ def format_resource_report(resources: Sequence[Any]) -> str:
     headers, rows = resource_report(resources)
     if not rows:
         return "(no resources)"
-    return _table(headers, rows)
+    return format_table(headers, rows)

@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .core.comparison import STACK_KINDS
 from .core.runner import Cell, make_cell
+from .obs.profile import format_table
 from .workloads import SYSCALL_OPS
 
 __all__ = ["ARTIFACTS", "Artifact", "Claim", "print_scoreboard",
@@ -84,14 +85,7 @@ class Artifact:
 
 
 def print_table(headers, rows):
-    widths = [max(len(str(headers[i])),
-                  max((len(str(r[i])) for r in rows), default=0))
-              for i in range(len(headers))]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+    print(format_table(headers, rows))
 
 
 def unique_cells(cells: Iterable[Cell]) -> List[Cell]:

@@ -14,7 +14,7 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .resources import Resource, Store, UtilizationTracker
+from .resources import Resource, Store
 from .stats import LatencyHistogram, ResourceStats
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "UtilizationTracker",
 ]

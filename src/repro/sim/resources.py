@@ -9,11 +9,11 @@ Two primitives cover everything the storage stacks need:
 
 Both also keep the accounting the experiments need, so utilization
 figures fall out of the same objects that provide the contention.  Every
-:class:`Resource` carries a :class:`~repro.sim.stats.ResourceStats`
-(``resource.stats``) with utilization, wait-time histograms, and the
-queue-depth integral — the raw material for the queueing analytics in
-:mod:`repro.obs.profile`.  The older :class:`UtilizationTracker` is kept
-for the CPU-utilization windows of Tables 9/10.
+:class:`Resource` carries one :class:`~repro.sim.stats.ResourceStats`
+(``resource.stats``), its only busy-time integral, with utilization,
+wait-time histograms, and the queue-depth integral — the raw material
+for the queueing analytics in :mod:`repro.obs.profile` and, through a
+host CPU's window, for the CPU-utilization figures of Tables 9/10.
 
 One-record holds
 ----------------
@@ -33,15 +33,14 @@ record at the current instant, which is exactly the ``(when, seq)`` slot
 that triggering a per-waiter gate :class:`~repro.sim.kernel.Event` takes,
 so the firing order is the one the gate-based hand-off produced.  The
 grant does the wait-done accounting and then starts the hold (``use``)
-or resumes the process (``acquire``).  ``ResourceStats`` and
-``UtilizationTracker`` are updated once per transition (enqueue, enter
-service, leave service), each with the float operations of its own
-``_accumulate`` step, so their figures are bit-identical to what
-separate per-call accounting hooks would produce.  Each transition runs
-in one frame, with the accumulate steps written out rather than called;
-:meth:`Resource.release` is the one implementation of leaving service,
-and :meth:`~repro.sim.stats.LatencyHistogram.record` of recording a
-wait.
+or resumes the process (``acquire``).  ``ResourceStats`` is updated
+once per transition (enqueue, enter service, leave service), with the
+float operations of its ``_accumulate`` step, so its figures are
+bit-identical to what separate per-call accounting hooks would produce.
+Each transition runs in one frame, with the accumulate step written out
+rather than called; :meth:`Resource.release` is the one implementation
+of leaving service, and :meth:`~repro.sim.stats.LatencyHistogram.record`
+of recording a wait.
 
 Eager calls
 -----------
@@ -76,7 +75,7 @@ from .kernel import (_HOLD, _KIND_CALL1, _KIND_RELEASE, Process,
                      SimulationError, Simulator)
 from .stats import ResourceStats
 
-__all__ = ["Resource", "Store", "UtilizationTracker"]
+__all__ = ["Resource", "Store"]
 
 # The result of an eager call that suspends the process: ``yield from``
 # hands the kernel's hold sentinel up to Process._resume, and the record
@@ -84,54 +83,10 @@ __all__ = ["Resource", "Store", "UtilizationTracker"]
 _WAIT = (_HOLD,)
 
 
-class UtilizationTracker:
-    """Accumulates busy time for a capacity-``n`` server.
-
-    Utilization over a window is ``busy_time / (capacity * elapsed)``, i.e.
-    the fraction of available service capacity consumed.  The owning
-    :class:`Resource` moves units in and out of service.
-    """
-
-    __slots__ = ("sim", "capacity", "busy_time", "_in_service",
-                 "_last_change", "_window_start")
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        self.sim = sim
-        self.capacity = capacity
-        self.busy_time = 0.0
-        self._in_service = 0
-        self._last_change = sim.now
-        self._window_start = sim.now
-
-    def _accumulate(self) -> None:
-        now = self.sim.now
-        # Same-instant re-reads must not accumulate twice; this compares
-        # the clock to its own earlier value, so exact float equality is
-        # the correct test.
-        if now != self._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
-            self.busy_time += self._in_service * (now - self._last_change)
-            self._last_change = now
-
-    def reset_window(self) -> None:
-        """Start a fresh measurement window at the current instant."""
-        self._accumulate()
-        self.busy_time = 0.0
-        self._window_start = self.sim.now
-
-    def utilization(self) -> float:
-        """Mean utilization since the start of the current window."""
-        self._accumulate()
-        elapsed = self.sim.now - self._window_start
-        if elapsed <= 0.0:
-            return 0.0
-        return self.busy_time / (self.capacity * elapsed)
-
-
 class Resource:
     """A counting semaphore with FIFO queueing and utilization tracking."""
 
-    __slots__ = ("sim", "capacity", "name", "available", "_waiters",
-                 "tracker", "stats")
+    __slots__ = ("sim", "capacity", "name", "available", "_waiters", "stats")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -143,7 +98,6 @@ class Resource:
         # Queued acquirers, oldest first: (process, arrival time, hold
         # duration, or None for acquire()).
         self._waiters: Deque[Tuple[Process, float, Optional[float]]] = deque()
-        self.tracker = UtilizationTracker(sim, capacity)
         self.stats = ResourceStats(self)
 
     def __repr__(self) -> str:
@@ -184,18 +138,13 @@ class Resource:
                 "resource %r released more than acquired" % (self.name,))
         sim = self.sim
         now = sim.now
-        # Both accumulators, inlined: this runs once per charge.
+        # _accumulate(), inlined: this runs once per charge.
         dt = now - stats._last_change
         if dt > 0.0:
             stats.busy_time += stats._in_service * dt
             stats._queue_integral += stats._queue_len * dt
             stats._last_change = now
         stats._in_service -= 1
-        tracker = self.tracker
-        if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
-            tracker.busy_time += tracker._in_service * (now - tracker._last_change)
-            tracker._last_change = now
-        tracker._in_service -= 1
         if self._waiters:
             # The grant record takes the (when, seq) slot that triggering
             # a per-waiter gate Event here would, on the kernel's FIFO of
@@ -235,11 +184,6 @@ class Resource:
                 stats._last_change = now
             stats._in_service += 1
             stats.acquisitions += 1
-            tracker = self.tracker
-            if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
-                tracker.busy_time += tracker._in_service * (now - tracker._last_change)
-                tracker._last_change = now
-            tracker._in_service += 1
             sim._sequence = seq = sim._sequence + 1
             heappush(sim._calendar,
                      (now + duration, seq, _KIND_RELEASE, proc, self))
@@ -250,8 +194,7 @@ class Resource:
     # -- transitions and records --------------------------------------------------
     # Each transition (_enqueue; _enter and its inlined copy in use; the
     # grant; release above) runs in one frame and updates ResourceStats
-    # and UtilizationTracker once, with the float operations of their
-    # _accumulate() steps.
+    # once, with the float operations of its _accumulate() step.
 
     def _enqueue(self, proc: Process, duration: Optional[float]) -> None:
         """Queue ``proc``; a later release grants it the unit."""
@@ -279,11 +222,6 @@ class Resource:
             stats._last_change = now
         stats._in_service += 1
         stats.acquisitions += 1
-        tracker = self.tracker
-        if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
-            tracker.busy_time += tracker._in_service * (now - tracker._last_change)
-            tracker._last_change = now
-        tracker._in_service += 1
 
     def _grant(self, waiter: Tuple[Process, float, Optional[float]]) -> None:
         """The grant record: ``waiter`` takes the unit a release handed it.
@@ -311,11 +249,6 @@ class Resource:
             if wait > stats.max_wait:
                 stats.max_wait = wait
             stats.wait_hist.record(wait)
-        tracker = self.tracker
-        if now != tracker._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
-            tracker.busy_time += tracker._in_service * (now - tracker._last_change)
-            tracker._last_change = now
-        tracker._in_service += 1
         if duration is None:
             proc._resume(None, None)
         else:

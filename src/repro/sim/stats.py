@@ -166,9 +166,12 @@ class LatencyHistogram:
 class ResourceStats:
     """First-class queueing statistics for one resource.
 
-    This generalizes the old scattered ``busy_time`` counters into a
-    single accumulator that the owning ``Resource`` updates whenever an
-    acquirer queues, enters service, or leaves it:
+    This is the resource's one busy-time integral: a single accumulator
+    that the owning ``Resource`` updates whenever an acquirer queues,
+    enters service, or leaves it, and that every utilization figure
+    reads (``repro bench``, the profiles, telemetry, and through
+    :meth:`~repro.client.host.Host.cpu_utilization` the CPU columns of
+    Tables 9/10):
 
     * **utilization** — busy time integrated over the in-service count,
       divided by ``capacity * elapsed`` (what vmstat would report);
@@ -271,8 +274,13 @@ class ResourceStats:
     def reset_window(self) -> None:
         """Start a fresh measurement window at the current instant.
 
-        In-service and queued counts carry over (they are physical
-        state); the integrals, wait totals, and histogram restart.
+        The busy time accumulated so far is committed, then every
+        statistic restarts: ``window_start`` (now), ``busy_time``, the
+        queue-depth integral, ``acquisitions``, ``contended``,
+        ``total_wait``, ``max_wait`` and the wait histogram.  In-service
+        and queued counts carry over (they are physical state).  A
+        host's vmstat window (``Host.reset_utilization_window``) is this
+        reset on its CPU.
         """
         self._accumulate()
         self.window_start = self._sim.now

@@ -305,11 +305,11 @@ def test_utilization_reset_window_mid_acquisition(sim):
 
     def observer():
         yield sim.timeout(4.0)
-        resource.tracker.reset_window()
+        resource.stats.reset_window()
         yield sim.timeout(3.0)
         # The unit has been continuously in service across the reset, so
         # the new window is 100% busy.
-        return resource.tracker.utilization()
+        return resource.stats.utilization()
 
     sim.spawn(worker())
     utilization = sim.run_process(observer())

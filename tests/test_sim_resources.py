@@ -1,12 +1,17 @@
-"""Unit and property tests for Resource/Store/UtilizationTracker."""
+"""Unit and property tests for Resource/Store and ResourceStats.
+
+``ResourceStats`` is a resource's one busy-time integral; its window
+(``reset_window``) is what a host's CPU-utilization figures read.
+"""
 # simlint: disable-file=P202 -- tests deliberately leak an acquire to assert the leak is observable
 
 import hashlib
+import heapq
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Resource, SimulationError, Simulator, Store
 
@@ -72,38 +77,6 @@ def test_release_without_acquire_rejected(sim):
     res = Resource(sim, capacity=1)
     with pytest.raises(SimulationError):
         res.release()
-
-
-def test_utilization_full(sim):
-    res = Resource(sim, capacity=1)
-
-    def worker():
-        yield from res.use(10.0)
-
-    sim.run_process(worker())
-    assert res.tracker.utilization() == pytest.approx(1.0)
-
-
-def test_utilization_half(sim):
-    res = Resource(sim, capacity=2)
-
-    def worker():
-        yield from res.use(10.0)
-
-    sim.run_process(worker())
-    assert res.tracker.utilization() == pytest.approx(0.5)
-
-
-def test_utilization_window_reset(sim):
-    res = Resource(sim, capacity=1)
-
-    def worker():
-        yield from res.use(4.0)
-        res.tracker.reset_window()
-        yield sim.timeout(6.0)
-
-    sim.run_process(worker())
-    assert res.tracker.utilization() == pytest.approx(0.0)
 
 
 def test_store_fifo(sim):
@@ -178,14 +151,6 @@ def test_stats_uncontended_resource_records_no_waits(sim):
     assert stats.littles_law_residual() == 0.0
 
 
-def test_stats_busy_time_matches_legacy_tracker(sim):
-    res = _contended_run(sim)
-    assert res.stats.busy_time == pytest.approx(
-        res.tracker.busy_time, abs=1e-12)
-    assert res.stats.utilization() == pytest.approx(
-        res.tracker.utilization(), abs=1e-12)
-
-
 def test_stats_queue_integral_equals_total_wait_when_drained(sim):
     # Little's law as an identity: queue empty at both window edges, so
     # integral(queue dt) == sum(waits) exactly.
@@ -214,7 +179,19 @@ def test_stats_reset_window_restarts_accounting(sim):
     assert stats.elapsed == pytest.approx(6.0)
 
 
+def test_utilization_full(sim):
+    res = Resource(sim, capacity=1)
+
+    def worker():
+        yield from res.use(10.0)
+
+    sim.run_process(worker())
+    assert res.stats.utilization() == pytest.approx(1.0)
+    assert res.stats.busy_time == pytest.approx(10.0)
+
+
 def test_stats_utilization_tracks_capacity(sim):
+    # One 10 s hold keeps half of a capacity-2 resource busy.
     res = Resource(sim, capacity=2)
 
     def worker():
@@ -245,7 +222,7 @@ def test_stats_as_dict_is_json_ready(sim):
 def test_stats_littles_law_property(holds, capacity):
     """Over a run that starts and ends with an empty queue, the
     queue-depth integral equals the summed waits (Little's law), and
-    stats busy time agrees with the legacy tracker."""
+    busy time equals the summed holds."""
     sim = Simulator()
     res = Resource(sim, capacity=capacity)
 
@@ -258,7 +235,6 @@ def test_stats_littles_law_property(holds, capacity):
     stats = res.stats
     assert stats.acquisitions == len(holds)
     assert stats.littles_law_residual() < 1e-9
-    assert stats.busy_time == pytest.approx(res.tracker.busy_time)
     assert stats.busy_time == pytest.approx(sum(holds))
 
 
@@ -279,10 +255,58 @@ def test_resource_conservation_property(holds, capacity):
         sim.spawn(worker(hold))
     sim.run()
     total = sum(holds)
-    assert res.tracker.busy_time == pytest.approx(total)
+    assert res.stats.busy_time == pytest.approx(total)
     assert sim.now <= total + 1e-9
     assert sim.now >= total / capacity - 1e-9
     assert res.available == capacity
+
+
+@settings(max_examples=60, deadline=None)
+@given(holds=st.lists(st.floats(min_value=0.01, max_value=5.0),
+                      min_size=1, max_size=12),
+       capacity=st.integers(min_value=1, max_value=3),
+       fraction=st.floats(min_value=0.0, max_value=0.95))
+@example(holds=[1.0], capacity=1, fraction=0.5)
+@example(holds=[2.0, 3.0, 1.0], capacity=1, fraction=0.3)
+def test_stats_reset_window_counts_only_the_window_property(
+        holds, capacity, fraction):
+    """A window reset mid-run, with units in service and (given more
+    holds than units) acquirers queued, counts the busy time inside
+    ``[reset, end]`` and nothing before it.
+
+    The reference is the FIFO list schedule of the holds, computed here
+    without the simulator: each hold starts on the unit that frees first.
+    """
+    free = [0.0] * capacity
+    spans = []
+    for hold in holds:
+        start = heapq.heappop(free)
+        heapq.heappush(free, start + hold)
+        spans.append((start, start + hold))
+    end = max(free)
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity)
+    resets = []
+
+    def worker(hold):
+        yield from res.use(hold)
+
+    def monitor():
+        yield sim.timeout(fraction * end)
+        res.stats.reset_window()
+        resets.append(sim.now)
+
+    for hold in holds:
+        sim.spawn(worker(hold))
+    sim.spawn(monitor())
+    sim.run()
+    [reset] = resets
+    assert abs(sim.now - end) < 1e-9
+    assert res.stats.window_start == reset
+    window = sum(max(0.0, stop - max(start, reset)) for start, stop in spans)
+    assert res.stats.busy_time == pytest.approx(window, abs=1e-9)
+    assert res.stats.utilization() == pytest.approx(
+        window / (capacity * (end - reset)), abs=1e-9)
 
 
 # ------------------------------------------------------------ hold contract
@@ -293,9 +317,8 @@ def _mixed_storm(capacity):
 
     Zero-length thinks and holds make acquirers queue and be granted at
     the instant they arrived (a wait of exactly 0), and a monitor reads
-    both utilization windows mid-run and resets the tracker's once, so
-    ``ResourceStats`` and ``UtilizationTracker`` advance their integrals
-    at different instants.
+    the utilization mid-run, so ``ResourceStats`` also commits its
+    integrals between transitions.
     Returns everything the hold contract pins: the dispatched
     ``(when, seq)`` stream, the final ``_sequence`` and the accounting.
     """
@@ -327,12 +350,9 @@ def _mixed_storm(capacity):
     def monitor():
         for tick in range(12):
             yield sim.timeout(0.37)
-            if tick == 5:
-                res.tracker.reset_window()
-            elif tick % 2:
+            # _STORM_EXPECTED was recorded with reads at exactly these ticks.
+            if tick in (1, 3, 7, 9, 11):
                 res.stats.utilization()
-            else:
-                res.tracker.utilization()
 
     for index in range(3 * capacity + 1):
         sim.spawn(worker(60 + index), name="w%d" % index)
@@ -347,7 +367,6 @@ def _mixed_storm(capacity):
         "stats_busy": stats.busy_time.hex(),
         "stats_wait": stats.total_wait.hex(),
         "queue_integral": stats.queue_integral.hex(),
-        "tracker_busy": res.tracker.busy_time.hex(),
     }
 
 
@@ -371,7 +390,6 @@ _STORM_EXPECTED = {
         "stats_busy": "0x1.acf5c28f5c27ep+4",
         "stats_wait": "0x1.6999999999988p+3",
         "queue_integral": "0x1.6999999999988p+3",
-        "tracker_busy": "0x1.a0f5c28f5c27ep+4",
     },
     2: {
         "records": 821,
@@ -388,7 +406,6 @@ _STORM_EXPECTED = {
         "stats_busy": "0x1.9beb851eb8515p+5",
         "stats_wait": "0x1.1851eb851eb9ap+3",
         "queue_integral": "0x1.1851eb851eb9ap+3",
-        "tracker_busy": "0x1.90147ae147ad7p+5",
     },
 }
 
