@@ -22,7 +22,6 @@ from .simlint import (
     lint_source,
 )
 from .simsan import (
-    CheckedSimulator,
     Finding,
     RpcSan,
     SanitizerError,
@@ -41,7 +40,6 @@ __all__ = [
     "format_text",
     "lint_paths",
     "lint_source",
-    "CheckedSimulator",
     "Finding",
     "RpcSan",
     "SanitizerError",

@@ -155,7 +155,7 @@ _INSTRUMENT_HOOKS = {
                          "current_span_id"}),
     "telem": frozenset({"count", "observe"}),
     "san": frozenset({
-        "note_send", "note_loss", "note_fault_drop",
+        "note_send", "note_fault_drop",
         "note_fault_duplicate", "note_scheduled", "note_issued",
         "note_orphan_reply", "note_request", "note_request_cancelled",
         "note_request_replayed", "note_request_dropped_in_progress",
@@ -393,6 +393,17 @@ def _mentions_now(expr: ast.AST) -> bool:
     return False
 
 
+def _is_approx(expr: ast.AST) -> bool:
+    """True for a ``pytest.approx(...)``/``approx(...)`` tolerance call."""
+    if not isinstance(expr, ast.Call):
+        return False
+    func = expr.func
+    if isinstance(func, ast.Name):
+        return func.id == "approx"
+    return (isinstance(func, ast.Attribute) and func.attr == "approx"
+            and isinstance(func.value, ast.Name) and func.value.id == "pytest")
+
+
 def _hooked_instrument(func: ast.Attribute) -> Optional[str]:
     """The instrument a ``<receiver>.<hook>()`` call reaches, or ``None``.
 
@@ -595,7 +606,9 @@ class _Linter(ast.NodeVisitor):
     def visit_Compare(self, node: ast.Compare) -> None:
         if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
             operands = [node.left] + list(node.comparators)
-            if any(_mentions_now(operand) for operand in operands):
+            # A tolerance comparison is what the rule's hint asks for.
+            if (any(_mentions_now(operand) for operand in operands)
+                    and not any(_is_approx(operand) for operand in operands)):
                 self._report(node, "D104",
                              "exact ==/!= against simulated time (`now`) "
                              "is float-fragile")

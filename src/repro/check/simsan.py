@@ -4,10 +4,12 @@ Where :mod:`repro.check.simlint` looks at code shapes, the sanitizers
 watch a *run*: a :class:`SimSan` is attached as the simulator's ``san``
 slot, the transports and RPC peers report to it through pure-arithmetic
 hooks (the ``san = self.sim.san; if san is not None:`` guard every
-instrument uses), and it verifies conservation identities when the run
-ends.  The checks observe — they never schedule, delay, or reorder
-anything — so a sanitized run's outputs are bit-identical to an
-unsanitized run unless a check fires.
+instrument uses), the kernel's dispatch loop hands it every record it
+dispatches (:meth:`SimSan.note_event`, ahead of the ``recorder``
+observer), and it verifies conservation identities when the run ends.
+The checks observe — they never schedule, delay, or reorder anything —
+so a sanitized run's outputs are bit-identical to an unsanitized run
+unless a check fires.
 
 Checks and finding codes
 ------------------------
@@ -20,8 +22,8 @@ Checks and finding codes
 * **S403 event-order violation** — the ``(when, seq)`` total order tied
   or went backwards, or a record fired in the past.
 * **S404 message conservation** — a transport message was sent but
-  neither delivered, dropped with a fault verdict, nor lost to the
-  configured loss rate; or an inbox held undispatched messages.
+  neither delivered nor dropped with a fault verdict (the only way a
+  message is lost); or an inbox held undispatched messages.
 * **S405 reply-per-call** — an RPC request was consumed without being
   served, replayed, or accounted as cancelled/duplicate; or a call was
   still outstanding; or a reply arrived for a call never issued.
@@ -31,18 +33,19 @@ Checks and finding codes
 Enable with ``StorageStack(..., san=True)`` / ``make_stack(...,
 san=True)`` or ``--san`` on the workload-running CLI subcommands; then
 ``stack.check()`` (strict) raises :class:`SanitizerError` on findings.
+Any other simulator is sanitized the same way, by filling its ``san``
+slot before it first runs.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..sim.kernel import Process, Simulator
+from ..sim.kernel import Process
 
 __all__ = [
     "Finding",
     "SanitizerError",
-    "CheckedSimulator",
     "TransportSan",
     "RpcSan",
     "SimSan",
@@ -82,77 +85,13 @@ class SanitizerError(AssertionError):
         super().__init__("\n".join(lines))
 
 
-class CheckedSimulator(Simulator):
-    """A :class:`Simulator` that verifies the firing order.
-
-    It has no dispatch loop of its own: its per-record observer hands the
-    kernel's one loop (:meth:`Simulator._drain`) an order check, chained
-    ahead of the ``recorder`` observer when one is attached, so every run
-    entry point checks each dispatched record: the ``(when, seq)`` key must
-    strictly increase and never lie in the past.  It also keeps a
-    registry of spawned processes so the end-of-run deadlock check can
-    enumerate survivors.  Checks only read and count — the event sequence
-    is identical to the plain kernel's.
-    """
-
-    __slots__ = ("san_processes", "order_findings", "_last_when",
-                 "_last_seq")
-
-    def __init__(self):
-        super().__init__()
-        self.san_processes: List[Process] = []
-        self.order_findings: List[Finding] = []
-        self._last_when = -1.0
-        self._last_seq = -1
-
-    def spawn(self, generator, name: str = "") -> Process:
-        proc = Process(self, generator, name=name)
-        self.san_processes.append(proc)
-        return proc
-
-    def _check_order(self, record) -> None:
-        # Called as the loop's observer, after the clock update: ``now``
-        # is then ``max(now, when)``, so ``when < now`` still holds
-        # exactly for a record stamped in the past.
-        when = record[0]
-        seq = record[1]
-        if len(self.order_findings) < _MAX_ORDER_FINDINGS:
-            if when < self.now:
-                self.order_findings.append(Finding(
-                    "S403",
-                    "record (when=%r, seq=%d) fired in the past at t=%r"
-                    % (when, seq, self.now)))
-            if (when, seq) <= (self._last_when, self._last_seq):
-                self.order_findings.append(Finding(
-                    "S403",
-                    "(when, seq) order tie/regression: (%r, %d) after "
-                    "(%r, %d)" % (when, seq, self._last_when,
-                                  self._last_seq)))
-        self._last_when = when
-        self._last_seq = seq
-
-    def _observer(self):
-        check = self._check_order
-        recorder = self.recorder
-        if recorder is None:
-            return check
-        note = recorder.note_event
-
-        def check_then_note(record) -> None:
-            check(record)
-            note(record)
-        return check_then_note
-
-
 class TransportSan:
     """Message-conservation counters for one :class:`DuplexTransport`."""
 
-    __slots__ = ("sent", "lost", "fault_dropped", "fault_duplicated",
-                 "scheduled")
+    __slots__ = ("sent", "fault_dropped", "fault_duplicated", "scheduled")
 
     def __init__(self):
         self.sent = 0
-        self.lost = 0
         self.fault_dropped = 0
         self.fault_duplicated = 0
         self.scheduled = 0
@@ -186,14 +125,52 @@ class SimSan:
     transport and one :class:`RpcSan` per peer are kept here, in
     first-report order, and all of them are checked — every connection
     of an MC/S session included.  Every hook is a bare counter update.
-    The :class:`CheckedSimulator`'s order/process registries are read at
-    verify time.
+
+    The kernel's dispatch loop calls :meth:`note_event` once per record,
+    ahead of the ``recorder`` observer.  It checks the firing order and
+    registers each process at the first record dispatched for it, the
+    resume record its spawn pushed, so the registry lists processes in
+    spawn order for the end-of-run deadlock check.  The contract: attach
+    the sanitizer before the simulator first runs, or the processes
+    already dispatched are never registered.
     """
 
     def __init__(self, stack):
         self.stack = stack
+        self.sim = stack.sim
         self.transports: Dict[Any, TransportSan] = {}
         self.peers: Dict[Any, RpcSan] = {}
+        # Filled by note_event: every process a record resumed, in
+        # first-dispatch order, and the S403 findings.
+        self.processes: Dict[Process, None] = {}
+        self.order_findings: List[Finding] = []
+        self._last_when = -1.0
+        self._last_seq = -1
+
+    # -- the kernel's per-record hook (Simulator._drain) ----------------------
+
+    def note_event(self, record) -> None:
+        # Called after the clock update: ``now`` is then ``max(now,
+        # when)``, so ``when < now`` still holds exactly for a record
+        # stamped in the past.
+        when, seq, kind, target, _ = record
+        if kind == 2:  # a resume record: its target is a process
+            self.processes[target] = None
+        if len(self.order_findings) < _MAX_ORDER_FINDINGS:
+            now = self.sim.now
+            if when < now:
+                self.order_findings.append(Finding(
+                    "S403",
+                    "record (when=%r, seq=%d) fired in the past at t=%r"
+                    % (when, seq, now)))
+            if (when, seq) <= (self._last_when, self._last_seq):
+                self.order_findings.append(Finding(
+                    "S403",
+                    "(when, seq) order tie/regression: (%r, %d) after "
+                    "(%r, %d)" % (when, seq, self._last_when,
+                                  self._last_seq)))
+        self._last_when = when
+        self._last_seq = seq
 
     # -- transport hooks (DuplexTransport._deliver) ---------------------------
 
@@ -205,9 +182,6 @@ class SimSan:
 
     def note_send(self, transport, _message) -> None:
         self._transport(transport).sent += 1
-
-    def note_loss(self, transport, _message) -> None:
-        self._transport(transport).lost += 1
 
     def note_fault_drop(self, transport, _message) -> None:
         self._transport(transport).fault_dropped += 1
@@ -255,12 +229,10 @@ class SimSan:
     # -- individual checks ----------------------------------------------------
 
     def _deadlock_findings(self) -> List[Finding]:
-        sim = self.stack.sim
         findings: List[Finding] = []
-        processes = getattr(sim, "san_processes", None)
-        if processes is None or sim.pending():
+        if self.sim.pending():
             return findings
-        survivors = [proc for proc in processes if not proc.triggered]
+        survivors = [proc for proc in self.processes if not proc.triggered]
         for proc in survivors:
             waiting_on = proc._waiting_on
             if waiting_on is None:
@@ -271,7 +243,7 @@ class SimSan:
                 "calendar" % (proc.name, waiting_on)))
         # The registry only matters for survivors; drop finished entries
         # so long sanitized runs don't accumulate dead Process objects.
-        processes[:] = survivors
+        self.processes = dict.fromkeys(survivors)
         return findings
 
     def _leak_findings(self) -> List[Finding]:
@@ -291,18 +263,15 @@ class SimSan:
                        "" if resource.queue_length == 1 else "s")))
         return findings
 
-    def _order_findings(self) -> List[Finding]:
-        return list(getattr(self.stack.sim, "order_findings", ()))
-
     def _message_findings(self) -> List[Finding]:
         findings: List[Finding] = []
         for transport, t in self.transports.items():
-            if t.sent != t.lost + t.fault_dropped + t.scheduled:
+            if t.sent != t.fault_dropped + t.scheduled:
                 findings.append(Finding(
                     "S404",
-                    "transport conservation broken: %d sent != %d lost + "
+                    "transport conservation broken: %d sent != "
                     "%d fault-dropped + %d scheduled"
-                    % (t.sent, t.lost, t.fault_dropped, t.scheduled)))
+                    % (t.sent, t.fault_dropped, t.scheduled)))
             delivered = (transport.client.inbox.total_put
                          + transport.server.inbox.total_put)
             expected = t.scheduled + t.fault_duplicated
@@ -372,7 +341,7 @@ class SimSan:
     def findings(self) -> List[Finding]:
         """Collect every check's findings (does not raise)."""
         out: List[Finding] = []
-        out.extend(self._order_findings())
+        out.extend(self.order_findings)
         out.extend(self._deadlock_findings())
         out.extend(self._leak_findings())
         out.extend(self._message_findings())

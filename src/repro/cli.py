@@ -320,8 +320,9 @@ def _farm_series(points) -> dict:
 
 
 def cmd_all(args) -> int:
-    # Heartbeats keep long --jobs runs from looking hung; they go to
-    # stderr, so the artifact output on stdout is unchanged.
+    # The runner's progress lines keep long --jobs runs from looking
+    # hung; they go to stderr, so the artifact output on stdout is
+    # unchanged.
     runner = ExperimentRunner(jobs=args.jobs, use_cache=not args.no_cache,
                               heartbeat=True)
     sections = [entry for entry in paper.ARTIFACTS if entry.render]
@@ -611,8 +612,7 @@ def cmd_explain(args) -> int:
 def cmd_dash(args) -> int:
     from .obs.dashboard import render_dashboard, write_html
 
-    cells = [make_cell("telemetry_run", kind=kind, workload=args.workload,
-                   heartbeat=bool(args.heartbeat))
+    cells = [make_cell("telemetry_run", kind=kind, workload=args.workload)
              for kind in args.stack]
     runner = _runner(args)
     runner.run(cells)
@@ -845,9 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write a self-contained HTML dashboard")
     da.add_argument("--width", type=int, default=48,
                     help="sparkline width in characters (default 48)")
-    da.add_argument("--heartbeat", action="store_true",
-                    help="print in-simulation heartbeat lines to stderr "
-                         "while cells run")
     da.set_defaults(func=cmd_dash)
 
     exp = sub.add_parser(

@@ -93,7 +93,7 @@ def _server_machine(sim: Simulator, params: TestbedParams, suffix: str = "",
 def _transport(link: Link, counters: MessageCounters, protocol: str,
                params: TestbedParams, name: str) -> DuplexTransport:
     """One connection over ``link``: iSCSI always rides TCP, NFS rides
-    its mount's transport (over UDP a message can be lost)."""
+    its mount's transport (over UDP a fault plan can drop a message)."""
     return DuplexTransport(
         link.sim, link, counters=counters,
         reliable=protocol == "iscsi" or params.nfs.transport != "udp",
@@ -194,21 +194,14 @@ class StorageStack:
 
     def __init__(self, kind: str, params: Optional[TestbedParams] = None,
                  trace: bool = False, fault_plan=None, san: bool = False,
-                 telemetry: bool = False, heartbeat: bool = False):
+                 telemetry: bool = False):
         if kind not in STACK_KINDS:
             raise ValueError("unknown stack kind %r; one of %s" % (kind, STACK_KINDS))
         self.kind = kind
         self.params = params if params is not None else TestbedParams()
         self.params = self._specialize_params(kind, self.params)
 
-        if san:
-            # Sanitizers (repro.check.simsan): built only on request, so
-            # the default stack keeps the plain kernel and None hooks
-            # everywhere.
-            from ..check.simsan import CheckedSimulator
-            self.sim = CheckedSimulator()
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
         self.client_host = Host(self.sim, self.params.cpu.client_cpus, "client")
         # An iSCSI target serves the raw array; an NFS server exports ext3.
         self.server_host, self.raid, self.fs = _server_machine(
@@ -247,9 +240,8 @@ class StorageStack:
             self.client = TracedClient(self.client, sim)
         self.telemetry = None
         if telemetry:
-            from ..obs.telemetry import Heartbeat, Telemetry
-            hb = Heartbeat("stack:" + kind) if heartbeat else None
-            self.telemetry = sim.telemetry = Telemetry(sim, heartbeat=hb)
+            from ..obs.telemetry import Telemetry
+            self.telemetry = sim.telemetry = Telemetry(sim)
             self._register_telemetry()
             self.telemetry.start()
         self.fault_injector = None
@@ -266,6 +258,8 @@ class StorageStack:
             )
         self.sanitizer = None
         if san:
+            # Before the first run (the mount): the sanitizer registers
+            # each process at its first dispatched record.
             from ..check.simsan import SimSan
             self.sanitizer = sim.san = SimSan(self)
         self.mounted = False
@@ -579,8 +573,7 @@ class StorageStack:
 def make_stack(kind: str, params: Optional[TestbedParams] = None,
                mounted: bool = True, trace: bool = False,
                fault_plan=None, san: bool = False,
-               telemetry: bool = False,
-               heartbeat: bool = False) -> StorageStack:
+               telemetry: bool = False) -> StorageStack:
     """Build (and by default mount) a stack of the given kind.
 
     Pass ``trace=True`` to attach a recording :class:`repro.obs.Tracer`
@@ -588,16 +581,15 @@ def make_stack(kind: str, params: Optional[TestbedParams] = None,
     Pass a non-empty :class:`repro.faults.FaultPlan` as ``fault_plan`` to
     arm fault injection; its event clock starts *after* the mount, so plan
     times are relative to the beginning of the workload.
-    Pass ``san=True`` to run on a checking kernel with the runtime
-    sanitizers attached (``stack.check()`` verifies at end of run); the
-    checks observe only, so outputs stay bit-identical.
+    Pass ``san=True`` to attach the runtime sanitizers as the
+    simulator's ``san`` slot (``stack.check()`` verifies at end of run);
+    the checks observe only, so outputs stay bit-identical.
     Pass ``telemetry=True`` to attach the streaming telemetry collector
     (``stack.telemetry``, a :class:`repro.obs.telemetry.Telemetry`); its
     probes are pure reads, so measured outputs stay bit-identical too.
-    ``heartbeat=True`` additionally prints progress lines to stderr.
     """
     stack = StorageStack(kind, params, trace=trace, fault_plan=fault_plan,
-                         san=san, telemetry=telemetry, heartbeat=heartbeat)
+                         san=san, telemetry=telemetry)
     if mounted:
         stack.mount()
     if stack.fault_injector is not None:

@@ -37,6 +37,8 @@ import functools
 import hashlib
 import json
 import os
+import sys
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -144,6 +146,30 @@ def _execute_cell(spec: Tuple[str, str, str]) -> Tuple[str, Any]:
     return cell_id, json.loads(json.dumps(result))
 
 
+class _Progress:
+    """``[hb runner]`` progress lines on stderr for long runs.
+
+    At most one line per 2 wall seconds, counted from construction, and
+    a forced last line.  It reads the host clock, which is what "is this
+    run stuck?" means, and writes only to stderr: status, never a result.
+    """
+
+    def __init__(self):
+        start = time.monotonic()  # simlint: disable=D101 (wall progress)
+        self._start = self._last = start
+
+    def __call__(self, done: int, total: int, cached: int,
+                 force: bool = False) -> None:
+        wall = time.monotonic()  # simlint: disable=D101 (wall progress)
+        if not force and wall - self._last < 2.0:
+            return
+        self._last = wall
+        elapsed = wall - self._start
+        rate = done / elapsed if elapsed > 0 else 0.0
+        print("[hb runner] cells %d/%d (%d cached) wall=%.1fs rate=%.2f/s"
+              % (done, total, cached, elapsed, rate), file=sys.stderr)
+
+
 class ExperimentRunner:
     """Run experiment cells with optional parallelism and result caching.
 
@@ -151,7 +177,8 @@ class ExperimentRunner:
     ``cache_dir``— result cache location (:func:`default_cache_dir`).
     ``use_cache``— when False, neither reads nor writes the cache.
     ``heartbeat``— when True, print cell/cache progress lines to stderr
-                   (a :class:`repro.obs.telemetry.Heartbeat`); status
+                   (``[hb runner] cells done/total (cached) wall= rate=``,
+                   at most one per 2 wall seconds plus a last one); status
                    only, never part of the merged results.
 
     Cells that carry telemetry attach their snapshot under the reserved
@@ -233,10 +260,7 @@ class ExperimentRunner:
                 raise ValueError("duplicate cell id %r" % (cell.id,))
             seen.add(cell.id)
 
-        hb = None
-        if self.heartbeat:
-            from ..obs.telemetry import Heartbeat
-            hb = Heartbeat("runner")
+        progress = _Progress() if self.heartbeat else None
 
         resolved: Dict[str, Any] = {}
         pending: List[Cell] = []
@@ -255,9 +279,8 @@ class ExperimentRunner:
                     _cell_id, result = _execute_cell(self._spec(cell))
                     self.cache_put(cell, result)
                     resolved[cell.id] = result
-                    if hb is not None:
-                        hb.progress(len(resolved), len(cells),
-                                    self.cache_hits)
+                    if progress is not None:
+                        progress(len(resolved), len(cells), self.cache_hits)
             else:
                 by_id = {cell.id: cell for cell in pending}
                 with ProcessPoolExecutor(max_workers=self.jobs) as pool:
@@ -270,12 +293,11 @@ class ExperimentRunner:
                             cell_id, result = future.result()
                             self.cache_put(by_id[cell_id], result)
                             resolved[cell_id] = result
-                        if hb is not None:
-                            hb.progress(len(resolved), len(cells),
-                                        self.cache_hits)
-        if hb is not None:
-            hb.progress(len(resolved), len(cells), self.cache_hits,
-                        force=True)
+                        if progress is not None:
+                            progress(len(resolved), len(cells),
+                                     self.cache_hits)
+        if progress is not None:
+            progress(len(resolved), len(cells), self.cache_hits, force=True)
 
         # Deterministic merge: submitted order, never completion order.
         merged = {cell.id: resolved[cell.id] for cell in cells}
@@ -664,14 +686,11 @@ def _cell_faults_scenario(kind: str, workload: str, plan: Any,
 
 
 @cell_kind("telemetry_run")
-def _cell_telemetry_run(kind: str, workload: str,
-                        heartbeat: bool = False) -> Dict[str, Any]:
+def _cell_telemetry_run(kind: str, workload: str) -> Dict[str, Any]:
     """One telemetry-first run for ``repro dash``: workload + snapshot.
 
     The snapshot rides under ``"__telemetry__"`` like everywhere else,
     so the runner's aggregation and the per-cell dashboards both work.
-    ``heartbeat=True`` prints in-simulation progress lines to stderr
-    while the cell runs.
     """
     from ..obs.bench import WORKLOADS
     from .comparison import make_stack
@@ -679,7 +698,7 @@ def _cell_telemetry_run(kind: str, workload: str,
     if workload not in WORKLOADS:
         raise ValueError("unknown workload %r; one of %s"
                          % (workload, sorted(WORKLOADS)))
-    stack = make_stack(kind, telemetry=True, heartbeat=heartbeat)
+    stack = make_stack(kind, telemetry=True)
     start = stack.now
     stack.run(WORKLOADS[workload](stack.client), name=workload)
     elapsed = stack.now - start

@@ -6,13 +6,15 @@ that crosses it is tallied in a :class:`~repro.core.counters.MessageCounters`
 (requests, replies, retransmissions, bytes).
 
 The TCP-like mode delivers reliably and in order.  The UDP-like mode (NFS v2)
-can drop messages with a configured probability; recovery is then the RPC
-layer's retransmission timer, exactly as in Sun RPC over UDP.
+loses a message only when a fault plan drops it (a
+:class:`~repro.faults.plan.LossBurst` window, a link flap or a server
+crash, applied by the injector in the simulator's ``fault`` slot);
+recovery is then the RPC layer's retransmission timer, exactly as in Sun
+RPC over UDP.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..core.counters import MessageCounters
@@ -35,7 +37,7 @@ class Endpoint:
 
 
 class DuplexTransport:
-    """A reliable (or lossy) bidirectional message channel with accounting."""
+    """A bidirectional message channel, TCP-like or UDP-like, with accounting."""
 
     def __init__(
         self,
@@ -43,21 +45,12 @@ class DuplexTransport:
         link: Link,
         counters: Optional[MessageCounters] = None,
         reliable: bool = True,
-        loss_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
         name: str = "transport",
     ):
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(
-                "loss_rate must be within [0, 1], got %r" % (loss_rate,))
-        if loss_rate and reliable:
-            raise ValueError("a reliable transport cannot drop messages")
         self.sim = sim
         self.link = link
         self.counters = counters if counters is not None else MessageCounters()
         self.reliable = reliable
-        self.loss_rate = loss_rate
-        self.rng = rng if rng is not None else random.Random(0)
         self.client = Endpoint(sim, name + ".client")
         self.server = Endpoint(sim, name + ".server")
 
@@ -99,10 +92,6 @@ class DuplexTransport:
         san = sim.san
         if san is not None:
             san.note_send(self, message)
-        if not self.reliable and self.rng.random() < self.loss_rate:
-            if san is not None:
-                san.note_loss(self, message)
-            return  # the bytes were spent; the message never arrives
         fault = sim.fault
         if fault is not None:
             verdict, extra = fault.filter_message(

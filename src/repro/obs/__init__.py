@@ -23,9 +23,9 @@ This package is the simulated equivalent of all three:
   *scale-out* counterpart of the tracer: opt-in, bounded-memory
   streaming rollups of every tier (utilization, queue depth, rates)
   from the repo's one periodic sampler, invariant watchers over the
-  stream, run heartbeats on stderr, and associative cross-worker
-  merging — rendered by :mod:`~repro.obs.dashboard` as ASCII timeline
-  dashboards or a self-contained HTML export (``repro dash``), and by
+  stream, and associative cross-worker merging — rendered by
+  :mod:`~repro.obs.dashboard` as ASCII timeline dashboards or a
+  self-contained HTML export (``repro dash``), and by
   :func:`~repro.obs.export.chrome_trace` as counter tracks.
 
 * :mod:`~repro.obs.explain` is the *differential* layer: it diffs two
@@ -66,8 +66,8 @@ _SOURCES = {
     "explain": ("explain_runs", "format_explain", "format_explain_json",
                 "render_explain_html", "render_timeline_diff", "run_side",
                 "side_from_bench", "write_explain_html"),
-    "telemetry": ("Heartbeat", "SeriesRollup", "Telemetry",
-                  "TelemetryFinding", "merge_rollups", "merge_snapshots"),
+    "telemetry": ("SeriesRollup", "Telemetry", "TelemetryFinding",
+                  "merge_rollups", "merge_snapshots"),
     "dashboard": ("render_dashboard", "render_html", "write_html"),
 }
 _LAZY = {name: module for module, names in _SOURCES.items() for name in names}

@@ -1,4 +1,4 @@
-"""Streaming telemetry: bounded-memory rollups, watchers, heartbeats.
+"""Streaming telemetry: bounded-memory rollups and watchers.
 
 The span-level tracing of :mod:`repro.obs.tracer` records every message
 and every span — perfect for a single workload, far too heavy for the
@@ -7,7 +7,7 @@ simulated time).  This module is the light-weight alternative the related
 iSCSI/RAID measurement papers actually use: continuous utilization and
 queue-depth *timelines*, not per-message traces.
 
-Three pieces:
+Two pieces:
 
 * :class:`SeriesRollup` — one metric's time series, held in a fixed-size
   ring of windows.  Each window keeps streaming ``count/sum/min/max``;
@@ -27,11 +27,6 @@ Three pieces:
   the layer existed.  Invariant *watchers* scan the stream as it
   accumulates and report findings the way the simsan sanitizers do
   (stable codes, human messages).
-* :class:`Heartbeat` — wall-clock-paced progress lines on stderr so long
-  ``repro all --jobs`` runs are no longer silent: simulated-time versus
-  wall-time rate, events per second, calendar depth, and the experiment
-  runner's cell/cache progress.  Status only, stderr only — stdout and
-  ``BENCH_*.json`` stay byte-identical.
 
 Rollups are *mergeable*: :func:`merge_snapshots` folds the JSON
 snapshots of many workers into one, associatively and keyed by series
@@ -39,14 +34,14 @@ id, so :class:`~repro.core.runner.ExperimentRunner` can aggregate
 telemetry across a process-pool fan-out deterministically — the merged
 result is byte-identical for ``--jobs 1`` and ``--jobs 8``.
 
-Determinism note: everything keyed on the *simulated* clock is exact and
-reproducible.  Only :class:`Heartbeat` reads the host clock, and its
-output goes exclusively to stderr.
+Determinism note: everything here is keyed on the *simulated* clock, so
+it is exact and reproducible; the module never reads the host clock.
+(The experiment runner's wall-clock progress lines on stderr live in
+:mod:`repro.core.runner`.)
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..sim.stats import LatencyHistogram
@@ -55,7 +50,6 @@ __all__ = [
     "SeriesRollup",
     "Telemetry",
     "TelemetryFinding",
-    "Heartbeat",
     "merge_rollups",
     "merge_snapshots",
     "SNAPSHOT_VERSION",
@@ -330,86 +324,6 @@ def _copy_rollup(rollup: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-class Heartbeat:
-    """Wall-clock-paced status lines on stderr for long runs.
-
-    The one deliberately non-deterministic corner of the telemetry
-    layer: it reads the *host* clock (what "is this run stuck?" means)
-    and writes only to ``stream`` (stderr by default), so the
-    reproducible stdout/JSON outputs are untouched.  Rate-limited to one
-    line per ``min_interval`` wall seconds; :meth:`final` always prints.
-    """
-
-    __slots__ = ("label", "stream", "min_interval", "beats",
-                 "_t0", "_last", "_last_sim", "_last_events")
-
-    def __init__(self, label: str, stream: Any = None,
-                 min_interval: float = 2.0):
-        import time
-
-        self.label = label
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
-        self.beats = 0
-        # Host-clock read: heartbeats measure wall progress by design,
-        # and never feed simulated state.
-        self._t0 = time.monotonic()  # simlint: disable=D101 (wall progress)
-        self._last = self._t0
-        self._last_sim = 0.0
-        self._last_events = 0
-
-    def _wall(self) -> float:
-        import time
-
-        # Host-clock read: see __init__ — status output only.
-        return time.monotonic()  # simlint: disable=D101 (wall progress)
-
-    def maybe_beat(self, sim_now: float, events: int,
-                   calendar: int) -> None:
-        """Emit a simulation-progress line if the rate limit allows.
-
-        Reports the simulated clock, the sim-time/wall-time rate since
-        the previous beat, events processed per wall second, and the
-        current calendar depth — vmstat for the simulator itself.
-        """
-        wall = self._wall()
-        if wall - self._last < self.min_interval:
-            return
-        dt = wall - self._last
-        sim_rate = (sim_now - self._last_sim) / dt if dt > 0 else 0.0
-        ev_rate = (events - self._last_events) / dt if dt > 0 else 0.0
-        self._last = wall
-        self._last_sim = sim_now
-        self._last_events = events
-        self.beats += 1
-        print("[hb %s] sim=%.3fs wall=%.1fs sim/wall=%.3gx ev/s=%.3g "
-              "calendar=%d"
-              % (self.label, sim_now, wall - self._t0, sim_rate, ev_rate,
-                 calendar),
-              file=self.stream)
-
-    def progress(self, done: int, total: int, cached: int = 0,
-                 force: bool = False) -> None:
-        """Emit an experiment-runner progress line (cells and cache)."""
-        wall = self._wall()
-        if not force and wall - self._last < self.min_interval:
-            return
-        self._last = wall
-        self.beats += 1
-        elapsed = wall - self._t0
-        rate = done / elapsed if elapsed > 0 else 0.0
-        print("[hb %s] cells %d/%d (%d cached) wall=%.1fs rate=%.2f/s"
-              % (self.label, done, total, cached, elapsed, rate),
-              file=self.stream)
-
-    def final(self, message: str) -> None:
-        """Always-printed closing line (total wall time appended)."""
-        self.beats += 1
-        print("[hb %s] %s wall=%.1fs"
-              % (self.label, message, self._wall() - self._t0),
-              file=self.stream)
-
-
 class Telemetry:
     """The per-stack streaming collector (the enabled form of the layer).
 
@@ -426,15 +340,13 @@ class Telemetry:
     """
 
     def __init__(self, sim: Any, interval: float = 0.002,
-                 window: float = 0.032, capacity: int = 64,
-                 heartbeat: Optional[Heartbeat] = None):
+                 window: float = 0.032, capacity: int = 64):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.interval = interval
         self.window = window
         self.capacity = capacity
-        self.heartbeat = heartbeat
         self.series: Dict[str, SeriesRollup] = {}
         self.tags: Dict[str, str] = {}
         self.samples = 0
@@ -523,10 +435,6 @@ class Telemetry:
             self.samples += 1
             if self.samples % _WATCH_WINDOWS == 0:
                 self._run_watchers(now)
-            hb = self.heartbeat
-            if hb is not None:
-                hb.maybe_beat(sim_now=now, events=sim._sequence,
-                              calendar=len(sim.pending()))
 
     # -- watchers -------------------------------------------------------------
 

@@ -75,8 +75,8 @@ first and compares afterwards, pushing the one overshooting record
 back: keys are unique, so the push-back changes no later pop order, and
 a drain pays it once, whereas peeking at ``calendar[0]`` before every
 pop costs an index per record.  The per-record observer (the
-``recorder`` slot, chained behind the sanitizer's order check) is looked
-up once per drain.
+``recorder`` slot, chained behind the sanitizer's hook when the ``san``
+slot is filled) is looked up once per drain.
 
 A resource hold (:meth:`repro.sim.resources.Resource.use`) costs its
 calendar records and nothing more: no generator, no gate
@@ -124,16 +124,20 @@ Instruments
 The simulator is the one attachment point for the opt-in instruments:
 its ``tracer``, ``telemetry``, ``san`` and ``fault`` slots are ``None``
 unless a run attaches one (see
-:class:`repro.core.comparison.StorageStack`).  Every component already
-holds the simulator, so a hook site reads ``x = self.sim.<slot>`` and
-guards with ``if x is not None:`` (simlint O301).  Instruments observe
-and never schedule on the hook path, so attaching one leaves the event
-sequence unchanged; the fault injector is the exception by design.
+:class:`repro.core.comparison.StorageStack`), and each instrument
+attaches through its slot alone: there is one kernel class for every
+run.  Every component already holds the simulator, so a hook site reads
+``x = self.sim.<slot>`` and guards with ``if x is not None:`` (simlint
+O301).  Instruments observe and never schedule on the hook path, so
+attaching one leaves the event sequence unchanged; the fault injector
+is the exception by design, and the only way a message is lost.
 
 The fifth slot, ``recorder``, is the kernel's own hook: the *per-record
 observer*, any object with a ``note_event(record)`` method, which the
 dispatch loop calls once per calendar record.  It is ``None`` unless a
-harness sets it; no component reads it.
+harness sets it; no component reads it.  The sanitizer in the ``san``
+slot takes every record the same way, through its own ``note_event``,
+called just before the recorder's (:meth:`Simulator._observer`).
 
 Example
 -------
@@ -463,9 +467,9 @@ class Simulator:
         self.telemetry: Optional[Any] = None    # repro.obs.telemetry.Telemetry
         # The per-record observer, any object with ``note_event(record)``:
         # _drain looks up its observer once per call through _observer(),
-        # which subclasses override to chain their own checks, so an
-        # observer attached while a run is in progress takes effect at
-        # the next run call.
+        # which chains the sanitizer's hook ahead of it, so an observer
+        # attached while a run is in progress takes effect at the next
+        # run call.
         self.recorder: Optional[Any] = None
         self.san: Optional[Any] = None          # repro.check.simsan.SimSan
         self.fault: Optional[Any] = None        # repro.faults.FaultInjector
@@ -641,9 +645,21 @@ class Simulator:
         return math.nextafter(until, math.inf)
 
     def _observer(self) -> Optional[Callable[[Tuple[Any, ...]], None]]:
-        """The per-record hook :meth:`_drain` calls, or ``None``."""
+        """The per-record hook :meth:`_drain` calls, or ``None``: the
+        sanitizer's ``note_event``, then the recorder's."""
+        san = self.san
         recorder = self.recorder
-        return None if recorder is None else recorder.note_event
+        if san is None:
+            return None if recorder is None else recorder.note_event
+        check = san.note_event
+        if recorder is None:
+            return check
+        note = recorder.note_event
+
+        def check_then_note(record) -> None:
+            check(record)
+            note(record)
+        return check_then_note
 
     def _drain(self, horizon: float, proc: Event) -> None:
         """The one dispatch loop behind every run entry point.

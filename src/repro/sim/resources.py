@@ -228,13 +228,17 @@ class Resource:
 
         The unit leaves the queue and enters service after the waiter's
         wait, then the hold starts (``use``) or the process resumes
-        (``acquire``).
+        (``acquire``).  The wait is counted from the arrival or from the
+        start of the statistics window, whichever is later, so a waiter
+        queued across ``stats.reset_window()`` (or handed its unit at the
+        reset instant) counts only its wait inside the window.
         """
         proc, arrived, duration = waiter
         sim = self.sim
         now = sim.now
-        wait = now - arrived
         stats = self.stats
+        start = stats.window_start
+        wait = now - (arrived if arrived > start else start)
         dt = now - stats._last_change
         if dt > 0.0:
             stats.busy_time += stats._in_service * dt

@@ -278,7 +278,9 @@ class ResourceStats:
         statistic restarts: ``window_start`` (now), ``busy_time``, the
         queue-depth integral, ``acquisitions``, ``contended``,
         ``total_wait``, ``max_wait`` and the wait histogram.  In-service
-        and queued counts carry over (they are physical state).  A
+        and queued counts carry over (they are physical state), and a
+        grant counts its wait from ``window_start`` at the earliest, so a
+        window that begins with a queue still satisfies Little's law.  A
         host's vmstat window (``Host.reset_utilization_window``) is this
         reset on its CPU.
         """

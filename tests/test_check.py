@@ -18,9 +18,9 @@ import pytest
 from repro.check import simlint
 from repro.check.simlint import lint_source
 from repro.check.simsan import (
-    CheckedSimulator,
     Finding,
     SanitizerError,
+    SimSan,
 )
 from repro.cli import main
 from repro.core.comparison import make_stack
@@ -151,6 +151,14 @@ def test_d104_flags_float_equality_on_now():
 def test_d104_negative_ordering_comparisons():
     assert codes("if sim.now >= deadline:\n    fire()\n") == []
     assert codes("if count == 3:\n    fire()\n") == []
+
+
+def test_d104_negative_tolerance_comparisons():
+    assert codes("assert sim.now == pytest.approx(end, abs=1e-9)\n") == []
+    assert codes("assert approx(end) == now\n") == []
+    # Without the tolerance call the same comparisons still flag.
+    assert codes("assert sim.now == deadline\n") == ["D104"]
+    assert codes("assert now != start\n") == ["D104"]
 
 
 # ---------------------------------------------------------------- simlint: P
@@ -511,8 +519,9 @@ class _MiniStack:
     def __init__(self):
         from repro.net.link import Link
         from repro.net.transport import DuplexTransport
+        from repro.sim import Simulator
 
-        self.sim = CheckedSimulator()
+        self.sim = Simulator()
         self.transport = DuplexTransport(self.sim, Link(self.sim))
         self.initiator = None
         self.sanitizer = None
@@ -525,11 +534,9 @@ class _MiniStack:
 
 
 def test_s401_deadlock_detected():
-    from repro.check.simsan import SimSan
-
     stack = _MiniStack()
     sim = stack.sim
-    san = SimSan(stack)
+    sim.san = san = SimSan(stack)
 
     def waiter():
         yield sim.event()   # never triggered by anyone
@@ -541,16 +548,33 @@ def test_s401_deadlock_detected():
     assert any("stuck" in f.message for f in findings)
 
 
+def test_s401_names_a_process_spawned_before_the_sanitizer():
+    # The sanitizer registers a process at its first dispatched record,
+    # so a process spawned before the slot was filled is still checked
+    # when the simulator had not run yet.
+    stack = _MiniStack()
+    sim = stack.sim
+
+    def waiter():
+        yield sim.event()   # never triggered by anyone
+
+    sim.spawn(waiter(), name="early")
+    sim.san = san = SimSan(stack)
+    sim.run()
+    findings = san.verify(strict=False)
+    assert [f.code for f in findings] == ["S401"]
+    assert "'early'" in findings[0].message
+
+
 @pytest.mark.parametrize("call", ["acquire", "use"])
 def test_s401_queued_resource_waiter_is_a_deadlock(call):
     # A contended acquirer is queued on the resource itself (no gate
     # event); the deadlock check still names it and the resource.
-    from repro.check.simsan import SimSan
     from repro.sim import Resource
 
     stack = _MiniStack()
     sim = stack.sim
-    san = SimSan(stack)
+    sim.san = san = SimSan(stack)
     cpu = Resource(sim, capacity=1, name="cpu")
 
     def hog():
@@ -572,12 +596,11 @@ def test_s401_queued_resource_waiter_is_a_deadlock(call):
 
 
 def test_s401_parked_store_getter_is_not_a_deadlock():
-    from repro.check.simsan import SimSan
     from repro.sim import Store
 
     stack = _MiniStack()
     sim = stack.sim
-    san = SimSan(stack)
+    sim.san = san = SimSan(stack)
     store = Store(sim, name="inbox")
 
     def server():
@@ -642,6 +665,30 @@ def test_s404_lost_message_detected_on_an_mcs_connection():
     # simulator reports to the sanitizer, not only the leading one.
     stack = _mcs_stack(san=True)
     _assert_lost_message_detected(stack, stack.mcs_transports[1])
+
+
+@pytest.mark.parametrize("plan", ["loss10", "dup5"])
+def test_s404_balances_fault_drops_and_duplicates_on_udp(plan):
+    # NFS v2 rides UDP, where a fault plan's loss drops a message (the
+    # only way one is lost) and its duplicates reach the inbox: S404
+    # accounts for both.
+    from repro.faults import resolve_plan
+
+    stack = make_stack("nfsv2", fault_plan=resolve_plan(plan, seed=0),
+                       san=True)
+    stack.run(bench.WORKLOADS["postmark"](stack.client), name="postmark")
+    stack.quiesce()
+    assert stack.check() == []
+    transport = stack.transport
+    counters = stack.sanitizer.transports[transport]
+    delivered = (transport.client.inbox.total_put
+                 + transport.server.inbox.total_put)
+    assert counters.sent == counters.fault_dropped + counters.scheduled
+    assert delivered == counters.scheduled + counters.fault_duplicated
+    if plan == "loss10":
+        assert counters.fault_dropped > 0
+    else:
+        assert counters.fault_duplicated > 0
 
 
 def test_s405_orphan_reply_detected():
@@ -711,11 +758,9 @@ def test_s406_iscsi_task_set_detected():
 
 
 def test_strict_check_raises_sanitizer_error():
-    from repro.check.simsan import SimSan
-
     stack = _MiniStack()
     sim = stack.sim
-    san = SimSan(stack)
+    sim.san = san = SimSan(stack)
 
     def waiter():
         yield sim.event()
@@ -779,14 +824,16 @@ def _run_process_until(sim, proc):
 ], ids=["run", "run_until", "run_process", "run_process_until",
         "run_process_recorder"])
 def test_checked_simulator_matches_plain_kernel(drive, recorded):
-    """Every run entry point dispatches the same events under the
-    sanitizer, and flags a record forged in the past (S403) -- also with
-    a per-record observer attached, which must see that record too."""
-    from repro.sim import Simulator
-
+    """Every run entry point dispatches the same events with the ``san``
+    slot filled, and the sanitizer flags a record forged in the past
+    (S403) -- also with a per-record observer attached, which must see
+    that record too."""
     results = []
-    for sim_cls in (Simulator, CheckedSimulator):
-        sim = sim_cls()
+    for sanitized in (False, True):
+        stack = _MiniStack()
+        sim = stack.sim
+        if sanitized:
+            sim.san = san = SimSan(stack)
         if recorded:
             sim.recorder = _Dispatched()
         log = []
@@ -795,11 +842,11 @@ def test_checked_simulator_matches_plain_kernel(drive, recorded):
         seen = sim.recorder.records if recorded else None
         results.append((log, returned, sim.now, sim._sequence, seen))
     assert results[0] == results[1]
-    assert sim.order_findings == []
+    assert san.order_findings == []
     assert sim.now > 0.0
     heapq.heappush(sim._calendar, (0.0, -1, 1, lambda _arg: None, None))
     drive(sim, _pinger(sim, [], "c"))
-    assert any(f.code == "S403" for f in sim.order_findings)
+    assert any(f.code == "S403" for f in san.order_findings)
     if recorded:
         assert (0.0, -1, 1) in sim.recorder.records
 

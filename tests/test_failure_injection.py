@@ -1,11 +1,11 @@
 """Failure injection: lossy transport, timeouts, races with removal."""
 
-import random
-
 import pytest
 
 from repro.core import make_stack
 from repro.core.counters import MessageCounters
+from repro.faults import FaultPlan, LossBurst
+from repro.faults.injector import FaultInjector
 from repro.fs import FileNotFound
 from repro.net import (
     DuplexTransport,
@@ -16,12 +16,30 @@ from repro.net import (
 )
 
 
+def _inject(sim, transport, events, seed):
+    """Attach and start an injector of ``events`` in the ``fault`` slot."""
+    plan = FaultPlan(events=tuple(events), seed=seed)
+    injector = sim.fault = FaultInjector(sim, plan, transport=transport)
+    injector.start()
+    return injector
+
+
+def _lose_messages(sim, transport, loss_rate, seed):
+    """Drop ``loss_rate`` of ``transport``'s messages the way ``repro
+    faults`` does: a loss window of a fault plan in the ``fault`` slot.
+
+    A window opens when its driver process first runs, so the simulator
+    is run to the current instant here, before anything is sent.
+    """
+    _inject(sim, transport, [LossBurst(start=0.0, duration=1e6,
+                                       loss_rate=loss_rate)], seed)
+    sim.run(until=sim.now)
+
+
 def _lossy_rpc_pair(sim, loss_rate, seed=1, timeout=0.02, retries=8):
     link = Link(sim, rtt=0.002)
-    transport = DuplexTransport(
-        sim, link, counters=MessageCounters(), reliable=False,
-        loss_rate=loss_rate, rng=random.Random(seed),
-    )
+    transport = DuplexTransport(sim, link, counters=MessageCounters(),
+                                reliable=False)
     client = RpcPeer(
         sim, transport.client, transport.send_from_client,
         retransmit=RetransmitPolicy(timeout=timeout, max_retries=retries),
@@ -35,6 +53,8 @@ def _lossy_rpc_pair(sim, loss_rate, seed=1, timeout=0.02, retries=8):
         yield  # pragma: no cover
 
     server.set_handler(handler)
+    if loss_rate:
+        _lose_messages(sim, transport, loss_rate, seed)
     return transport, client, server
 
 
@@ -195,10 +215,9 @@ def test_call_resends_on_the_schedule_until_it_gives_up(sim, reset):
     # [1, 3, 5, 5, 5] as resend times.
     policy = RetransmitPolicy(timeout=1.0, backoff=3.0, max_retries=4,
                               max_timeout=5.0, reset_connection=reset)
-    transport = DuplexTransport(
-        sim, Link(sim, rtt=0.002), counters=MessageCounters(),
-        reliable=False, loss_rate=1.0, rng=random.Random(1),
-    )
+    transport = DuplexTransport(sim, Link(sim, rtt=0.002),
+                                counters=MessageCounters(), reliable=False)
+    _lose_messages(sim, transport, 1.0, seed=1)
     sent = []
 
     def send(message):
@@ -238,21 +257,10 @@ def test_retransmit_policy_validates_parameters():
         RetransmitPolicy(timeout=2.0, max_timeout=1.0)
 
 
-def test_transport_rejects_out_of_range_loss_rate(sim):
-    link = Link(sim, rtt=0.002)
-    with pytest.raises(ValueError):
-        DuplexTransport(sim, link, counters=MessageCounters(), loss_rate=1.5)
-    with pytest.raises(ValueError):
-        DuplexTransport(sim, link, counters=MessageCounters(), loss_rate=-0.1)
-
-
 # -- duplicate-request cache under injected message faults -----------------------
 
 
 def _injected_rpc_pair(sim, events, seed=3):
-    from repro.faults import FaultPlan
-    from repro.faults.injector import FaultInjector
-
     transport, client, server = _lossy_rpc_pair(sim, loss_rate=0.0)
     executions = []
 
@@ -262,9 +270,7 @@ def _injected_rpc_pair(sim, events, seed=3):
         yield  # pragma: no cover
 
     server.set_handler(handler)
-    plan = FaultPlan(events=tuple(events), seed=seed)
-    injector = sim.fault = FaultInjector(sim, plan, transport=transport)
-    injector.start()
+    injector = _inject(sim, transport, events, seed)
     return transport, client, server, injector, executions
 
 

@@ -1,12 +1,12 @@
 """Property tests for messages, links, and counting invariants."""
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.counters import MessageCounters
 from repro.net import DuplexTransport, Link, Message, REPLY
 from repro.sim import Simulator
+
+from .test_failure_injection import _lose_messages
 
 
 def test_message_xids_unique():
@@ -76,10 +76,9 @@ def test_counter_invariants(events):
 def test_lossy_transport_counts_all_sends(loss, n):
     """Counting happens at injection: drops never lose accounting."""
     sim = Simulator()
-    transport = DuplexTransport(
-        sim, Link(sim, rtt=0.001), counters=MessageCounters(),
-        reliable=False, loss_rate=loss, rng=random.Random(0),
-    )
+    transport = DuplexTransport(sim, Link(sim, rtt=0.001),
+                                counters=MessageCounters(), reliable=False)
+    _lose_messages(sim, transport, loss, seed=0)
     for _ in range(n):
         transport.send_from_client(Message(op="PING"))
     sim.run()

@@ -12,7 +12,8 @@ from repro.net import (
     RpcPeer,
     RpcTimeoutError,
 )
-from repro.sim import Simulator
+
+from .test_failure_injection import _lose_messages
 
 
 # ---------------------------------------------------------------- link
@@ -74,21 +75,12 @@ def test_transport_delivers_to_inbox(sim):
 
 
 def test_lossy_transport_drops(sim):
-    import random
-    transport = DuplexTransport(
-        sim, Link(sim, rtt=0.001), reliable=False, loss_rate=1.0,
-        rng=random.Random(1),
-    )
+    transport = DuplexTransport(sim, Link(sim, rtt=0.001), reliable=False)
+    _lose_messages(sim, transport, 1.0, seed=1)
     transport.send_from_client(Message(op="LOST"))
     sim.run()
     assert len(transport.server.inbox) == 0
     assert transport.counters.requests == 1  # the bytes were still spent
-
-
-def test_reliable_transport_rejects_loss_rate():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        DuplexTransport(sim, Link(sim), reliable=True, loss_rate=0.5)
 
 
 # ---------------------------------------------------------------- rpc
@@ -175,10 +167,8 @@ def test_rpc_duplicate_cache_replays(sim):
 
 def test_rpc_exhausted_retries_raise(sim):
     policy = RetransmitPolicy(timeout=0.001, max_retries=2)
-    transport = DuplexTransport(
-        sim, Link(sim, rtt=0.001), reliable=False, loss_rate=1.0,
-        rng=__import__("random").Random(3),
-    )
+    transport = DuplexTransport(sim, Link(sim, rtt=0.001), reliable=False)
+    _lose_messages(sim, transport, 1.0, seed=3)
     client = RpcPeer(sim, transport.client, transport.send_from_client,
                      retransmit=policy)
 

@@ -179,6 +179,37 @@ def test_stats_reset_window_restarts_accounting(sim):
     assert stats.elapsed == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("holds, reset_at, contended, waits", [
+    # Two acquirers queued at 0 behind a 2 s hold: inside the window
+    # that opens at 1.8 s they wait 0.2 s and 3.2 s, not 2 s and 5 s.
+    ((2.0, 3.0, 1.0), 1.8, 2, (0.2, 3.2)),
+    # The reset falls on the instant a release hands the unit to the
+    # queued acquirer, before its grant record runs: no wait inside.
+    ((1.0, 1.0), 1.0, 0, (0.0,)),
+], ids=["queued", "handed-over"])
+def test_stats_reset_window_restarts_queued_waits(sim, holds, reset_at,
+                                                  contended, waits):
+    res = Resource(sim, capacity=1)
+
+    def worker(hold):
+        yield from res.use(hold)
+
+    def monitor():
+        yield sim.timeout(reset_at)
+        res.stats.reset_window()
+
+    for hold in holds:
+        sim.spawn(worker(hold))
+    sim.spawn(monitor())
+    sim.run()
+    stats = res.stats
+    assert res.queue_length == 0
+    assert stats.contended == contended
+    assert stats.total_wait == pytest.approx(sum(waits))
+    assert stats.max_wait == pytest.approx(max(waits))
+    assert stats.littles_law_residual() < 1e-9
+
+
 def test_utilization_full(sim):
     res = Resource(sim, capacity=1)
 
@@ -268,6 +299,7 @@ def test_resource_conservation_property(holds, capacity):
        fraction=st.floats(min_value=0.0, max_value=0.95))
 @example(holds=[1.0], capacity=1, fraction=0.5)
 @example(holds=[2.0, 3.0, 1.0], capacity=1, fraction=0.3)
+@example(holds=[1.0, 1.0], capacity=1, fraction=0.5)
 def test_stats_reset_window_counts_only_the_window_property(
         holds, capacity, fraction):
     """A window reset mid-run, with units in service and (given more
@@ -307,6 +339,10 @@ def test_stats_reset_window_counts_only_the_window_property(
     assert res.stats.busy_time == pytest.approx(window, abs=1e-9)
     assert res.stats.utilization() == pytest.approx(
         window / (capacity * (end - reset)), abs=1e-9)
+    # The queue has drained, so the window's waits add up to its
+    # queue-depth integral, whatever was queued at the reset.
+    assert res.queue_length == 0
+    assert res.stats.littles_law_residual() < 1e-9
 
 
 # ------------------------------------------------------------ hold contract

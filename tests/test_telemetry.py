@@ -18,8 +18,8 @@ The contracts under test:
 
 from __future__ import annotations
 
-import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +29,6 @@ from repro.core.runner import Cell, ExperimentRunner
 from repro.obs.dashboard import render_dashboard, render_html, sparkline
 from repro.obs.telemetry import (
     SNAPSHOT_VERSION,
-    Heartbeat,
     SeriesRollup,
     Telemetry,
     TelemetryFinding,
@@ -458,29 +457,29 @@ def test_render_html_is_self_contained():
 
 
 # --------------------------------------------------------------- heartbeat
+# The runner's progress lines (ExperimentRunner(heartbeat=True)): the
+# host-clock status output of a long run lives there, not in telemetry.
 
 
-def test_heartbeat_rate_limited_beats_and_final():
-    stream = io.StringIO()
-    hb = Heartbeat("unit", stream=stream, min_interval=0.0)
-    hb.maybe_beat(sim_now=1.5, events=1000, calendar=4)
-    hb.progress(3, 10, 1)
-    hb.final("done")
-    out = stream.getvalue()
-    assert "[hb unit]" in out
-    assert "sim=1.500s" in out and "calendar=4" in out
-    assert "cells 3/10 (1 cached)" in out
-    assert "done" in out
+def test_heartbeat_rate_limited_beats_and_final(capsys, monkeypatch):
+    from repro.core import runner as runner_module
 
-    # With a high min_interval nothing beats (the limiter is seeded at
-    # construction, so a just-started run stays silent)... except final.
-    stream = io.StringIO()
-    hb = Heartbeat("unit", stream=stream, min_interval=3600.0)
-    hb.maybe_beat(sim_now=1.0, events=10, calendar=1)
-    hb.progress(1, 4)
-    assert stream.getvalue() == ""
-    hb.final("wrapped up")
-    assert "wrapped up" in stream.getvalue()
+    clock = iter([100.0, 101.9, 102.5, 103.0, 104.0])
+    monkeypatch.setattr(runner_module, "time",
+                        SimpleNamespace(monotonic=lambda: next(clock)))
+    progress = runner_module._Progress()
+    # The limiter is seeded at construction: silent within 2 s...
+    progress(1, 10, 0)
+    assert capsys.readouterr().err == ""
+    # ...then one line per 2 s...
+    progress(2, 10, 1)
+    progress(3, 10, 1)
+    assert capsys.readouterr().err == (
+        "[hb runner] cells 2/10 (1 cached) wall=2.5s rate=0.80/s\n")
+    # ...and a forced last line, whenever it comes.
+    progress(3, 10, 1, force=True)
+    assert capsys.readouterr().err == (
+        "[hb runner] cells 3/10 (1 cached) wall=4.0s rate=0.75/s\n")
 
 
 # --------------------------------------------------------------------- CLI
