@@ -612,7 +612,8 @@ def cmd_explain(args) -> int:
 def cmd_dash(args) -> int:
     from .obs.dashboard import render_dashboard, write_html
 
-    cells = [make_cell("telemetry_run", kind=kind, workload=args.workload)
+    cells = [make_cell("faults_scenario", kind=kind, workload=args.workload,
+                       plan="none", telemetry=True)
              for kind in args.stack]
     runner = _runner(args)
     runner.run(cells)

@@ -268,41 +268,17 @@ class StorageStack:
 
     @staticmethod
     def _specialize_params(kind: str, params: TestbedParams) -> TestbedParams:
+        """``params`` with ``nfs`` resolved for NFS stack kind ``kind``."""
         if kind == "iscsi":
             return params
-        version_for_kind = {"nfsv2": 2, "nfsv3": 3, "nfsv4": 4}.get(kind)
-        if version_for_kind is not None and params.nfs.version == version_for_kind:
-            # The experimenter supplied a fully specified NfsParams for
-            # this exact version: trust it verbatim.
-            return params
-        if kind == "nfsv2":
-            nfs = NfsParams.for_version(2)
-        elif kind == "nfsv3":
-            nfs = NfsParams.for_version(3)
-        elif kind == "nfsv4":
-            nfs = NfsParams.for_version(4)
-        else:  # nfs-enhanced: v4 plus the Section-7 machinery
-            nfs = replace(
-                NfsParams.for_version(4),
-                consistent_metadata_cache=True,
-                directory_delegation=True,
-                writeback_delay=5.0,   # lazy like ext3's commit interval
-                pages_per_flush_rpc=32,  # spatial write aggregation (§6.1)
-            )
-        # Carry over every field the experimenter explicitly changed from
-        # the defaults (ablations twist rsize, validity windows, access
-        # checks, ...); version-defining defaults stay otherwise.
-        import dataclasses
-        base = params.nfs
-        reference = NfsParams()
-        overrides = {}
-        for field in dataclasses.fields(NfsParams):
-            value = getattr(base, field.name)
-            if value != getattr(reference, field.name):
-                overrides[field.name] = value
-        overrides.pop("version", None)
-        nfs = replace(nfs, **overrides)
-        return replace(params, nfs=nfs)
+        defaults = NfsParams.for_kind(kind)
+        if params.nfs is None:
+            return replace(params, nfs=defaults)
+        if params.nfs.version != defaults.version:
+            raise ValueError(
+                "a %s stack runs NFS version %d, but its NfsParams has "
+                "version %d" % (kind, defaults.version, params.nfs.version))
+        return params
 
     def _build_iscsi(self) -> None:
         iscsi = self.params.iscsi

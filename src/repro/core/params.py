@@ -20,6 +20,7 @@ far below full-stroke seek times.  See EXPERIMENTS.md ("Calibration").
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 __all__ = [
     "NetworkParams",
@@ -148,6 +149,22 @@ class NfsParams:
             )
         raise ValueError("unsupported NFS version: %r" % (version,))
 
+    @classmethod
+    def for_kind(cls, kind: str) -> "NfsParams":
+        """The defaults of NFS stack kind ``kind``: its version's, and for
+        ``nfs-enhanced`` v4's plus the Section 7 machinery."""
+        if kind == "nfs-enhanced":
+            return replace(
+                cls.for_version(4),
+                consistent_metadata_cache=True,
+                directory_delegation=True,
+                writeback_delay=5.0,     # lazy like ext3's commit interval
+                pages_per_flush_rpc=32,  # spatial write aggregation (§6.1)
+            )
+        if kind in ("nfsv2", "nfsv3", "nfsv4"):
+            return cls.for_version(int(kind[-1]))
+        raise ValueError("not an NFS stack kind: %r" % (kind,))
+
 
 @dataclass
 class IscsiParams:
@@ -211,7 +228,9 @@ class TestbedParams:
     raid: RaidParams = field(default_factory=RaidParams)
     cache: CacheParams = field(default_factory=CacheParams)
     ext3: Ext3Params = field(default_factory=Ext3Params)
-    nfs: NfsParams = field(default_factory=NfsParams)
+    # None: the stack kind's defaults (NfsParams.for_kind).  An explicit
+    # NfsParams is used verbatim and must carry the kind's version.
+    nfs: Optional[NfsParams] = None
     iscsi: IscsiParams = field(default_factory=IscsiParams)
     cpu: CpuParams = field(default_factory=CpuParams)
     seed: int = 42

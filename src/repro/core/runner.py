@@ -342,21 +342,17 @@ def _testbed(kind: str, overrides: Optional[Dict[str, Dict[str, Any]]]):
     """The ``TestbedParams`` a cell's ``overrides`` describe (None if none).
 
     ``overrides`` maps a ``TestbedParams`` group ("nfs", "ext3", ...) to
-    the fields to change.  An NFS kind starts from its version's
-    ``NfsParams``: the stack keeps only the NFS fields that differ from
-    ``NfsParams()``, so an override back to that default (v4 with
-    ``access_check_per_component=False``) would otherwise be dropped.
+    the fields to change; an ``nfs`` override changes the kind's
+    ``NfsParams.for_kind``.
     """
     if not overrides:
         return None
     from dataclasses import replace
 
-    from .params import TestbedParams
+    from .params import NfsParams, TestbedParams
 
-    params = TestbedParams()
-    version = {"nfsv2": 2, "nfsv3": 3, "nfsv4": 4}.get(kind)
-    if version is not None:
-        params = params.with_nfs_version(version)
+    params = TestbedParams(
+        nfs=NfsParams.for_kind(kind) if "nfs" in overrides else None)
     return replace(params, **{group: replace(getattr(params, group), **fields)
                               for group, fields in overrides.items()})
 
@@ -638,6 +634,8 @@ def _cell_faults_scenario(kind: str, workload: str, plan: Any,
     ``san=True`` attaches the runtime sanitizers in *report* mode: a
     faulted run legitimately abandons in-flight exchanges, so findings
     are returned under ``result["sanitizer"]`` instead of raising.
+    ``repro dash`` runs this cell with ``plan="none"`` and
+    ``telemetry=True``: a plain run carrying the collector.
     """
     from ..faults import resolve_plan
     from ..obs.bench import WORKLOADS
@@ -683,33 +681,6 @@ def _cell_faults_scenario(kind: str, workload: str, plan: Any,
     if stack.telemetry is not None:
         result["__telemetry__"] = stack.telemetry.snapshot()
     return result
-
-
-@cell_kind("telemetry_run")
-def _cell_telemetry_run(kind: str, workload: str) -> Dict[str, Any]:
-    """One telemetry-first run for ``repro dash``: workload + snapshot.
-
-    The snapshot rides under ``"__telemetry__"`` like everywhere else,
-    so the runner's aggregation and the per-cell dashboards both work.
-    """
-    from ..obs.bench import WORKLOADS
-    from .comparison import make_stack
-
-    if workload not in WORKLOADS:
-        raise ValueError("unknown workload %r; one of %s"
-                         % (workload, sorted(WORKLOADS)))
-    stack = make_stack(kind, telemetry=True)
-    start = stack.now
-    stack.run(WORKLOADS[workload](stack.client), name=workload)
-    elapsed = stack.now - start
-    stack.quiesce()
-    return {
-        "stack": kind,
-        "workload": workload,
-        "completion_time_s": round(elapsed, 9),
-        "total_time_s": round(stack.now, 9),
-        "__telemetry__": stack.telemetry.snapshot(),
-    }
 
 
 @cell_kind("explain_pair")

@@ -1,8 +1,11 @@
-"""benchmarks/call_count.py: profiled calls per dispatched record.
+"""benchmarks/call_count.py: the host-cost gate.
 
-The count is the yardstick of the Python work each calendar record
-costs, so it must be a property of the code alone: the same run in two
-fresh interpreters, with different hash seeds, makes the same calls.
+``BENCH_perf.json`` pins, for four reduced cases, the calls ``repro``'s
+own code makes and the calendar records the kernel dispatches.  Each
+case runs in a fresh interpreter (so no other test's stacks are torn
+down inside the profile) and must match both numbers exactly: a drop
+nobody re-records would leave slack for a later regression.  One
+baseline serves every CPython from 3.10 to 3.13 and every hash seed.
 """
 
 from __future__ import annotations
@@ -12,31 +15,44 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "benchmarks", "call_count.py")
 
-# oltp-nfsv3 at a reduced size: a fraction of a second under cProfile.
-_REDUCED = ["--size", "transactions=20", "--size", "table_mb=1",
-            "--size", "ntables=2"]
+with open(os.path.join(ROOT, "BENCH_perf.json")) as _handle:
+    BASELINE = json.load(_handle)["calls"]
 
 
-def _count(hash_seed):
-    done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "benchmarks", "call_count.py"),
-         "--workload", "oltp-nfsv3", "--seed", "1"] + _REDUCED,
-        capture_output=True, text=True, cwd=ROOT,
-        env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)))
+def _check(case, hash_seed):
+    committed = BASELINE[case]
+    argv = [sys.executable, SCRIPT, "--workload", case]
+    for key, value in sorted(committed["sizes"].items()):
+        argv += ["--size", "%s=%d" % (key, value)]
+    done = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT,
+                          env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)))
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     # The header, the busiest call sites, then the JSON summary.
-    assert lines[0].startswith("oltp-nfsv3 seed 1: ")
+    assert lines[0].startswith("%s: " % case)
     assert len(lines) == 2 + 20 + 1
-    return json.loads(lines[-1])
+    measured = json.loads(lines[-1])
+    assert measured["calls_per_record"] == round(
+        measured["calls"] / measured["records"], 4)
+    got = (measured["calls"], measured["records"])
+    want = (committed["calls"], committed["records"])
+    assert got == want, (
+        "%s: committed %d calls / %d records, measured %d calls / %d "
+        "records (PYTHONHASHSEED=%d); if the change is meant, re-record "
+        "with: python benchmarks/call_count.py --record"
+        % ((case,) + want + got + (hash_seed,)))
+
+
+@pytest.mark.parametrize("case", sorted(BASELINE))
+def test_call_count_equals_the_committed_baseline(case):
+    _check(case, hash_seed=0)
 
 
 def test_call_count_is_the_same_in_two_fresh_interpreters():
-    first, second = _count(0), _count(1)
-    assert first == second
-    assert first["workload"] == "oltp-nfsv3" and first["seed"] == 1
-    assert first["calls"] > first["records"] > 0
-    assert first["calls_per_record"] == round(
-        first["calls"] / first["records"], 4)
+    # The parametrized run of this case used hash seed 0.
+    _check("oltp-nfsv3", hash_seed=1)

@@ -1,9 +1,14 @@
 """Integration tests: the comparison harness and cross-stack equivalence."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import STACK_KINDS, TestbedParams, make_stack
+from repro.core import STACK_KINDS, SharedNfsTestbed, TestbedParams, make_stack
 from repro.core.comparison import StorageStack
+from repro.core.params import NfsParams
+
+NFS_KINDS = [kind for kind in STACK_KINDS if kind != "iscsi"]
 
 
 def test_all_kinds_construct_and_mount():
@@ -24,6 +29,26 @@ def test_kind_specializes_nfs_version():
     enhanced = make_stack("nfs-enhanced").params.nfs
     assert enhanced.consistent_metadata_cache
     assert enhanced.directory_delegation
+    for kind in NFS_KINDS:
+        assert make_stack(kind).params.nfs == NfsParams.for_kind(kind)
+        assert SharedNfsTestbed(2, kind).params.nfs == NfsParams.for_kind(kind)
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("nfsv4", {"access_check_per_component": False, "rsize": 8192}),
+    ("nfs-enhanced", {"writeback_delay": 0.5, "pages_per_flush_rpc": 1}),
+])
+def test_explicit_nfs_params_are_used_verbatim(kind, fields):
+    # Each field equals its v3 default, which must not make it drop.
+    nfs = replace(NfsParams.for_kind(kind), **fields)
+    stack = StorageStack(kind, TestbedParams(nfs=nfs))
+    assert stack.nfs_client.params == nfs
+
+
+def test_nfs_params_of_another_version_rejected():
+    v3 = NfsParams(access_check_per_component=False, rsize=8192)
+    with pytest.raises(ValueError, match="nfsv4 .* version 4.* version 3"):
+        StorageStack("nfsv4", TestbedParams(nfs=v3))
 
 
 def test_iscsi_places_fs_at_client():

@@ -25,7 +25,7 @@ import pytest
 
 from repro import cli
 from repro.core.comparison import make_stack
-from repro.core.runner import Cell, ExperimentRunner
+from repro.core.runner import ExperimentRunner, make_cell
 from repro.obs.dashboard import render_dashboard, render_html, sparkline
 from repro.obs.telemetry import (
     SNAPSHOT_VERSION,
@@ -373,11 +373,10 @@ def test_telemetry_run_is_byte_identical(kind):
 
 
 def _dash_cells():
-    return [
-        Cell("smoke/%s" % kind, "telemetry_run",
-             {"kind": kind, "workload": "smoke"})
-        for kind in ("nfsv3", "iscsi")
-    ]
+    # The cells `repro dash smoke` runs.
+    return [make_cell("faults_scenario", kind=kind, workload="smoke",
+                      plan="none", telemetry=True)
+            for kind in ("nfsv3", "iscsi")]
 
 
 def test_runner_strips_telemetry_key_and_merges(tmp_path):
