@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import importlib
 import json
 import pstats
 import subprocess
@@ -50,6 +51,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import repro  # noqa: E402
 from cases import WORKLOADS, kernel_events, run_case  # noqa: E402
 from repro.obs.bench import SUITES, run_case_stack  # noqa: E402
+from spans import LAYER_MODULES  # noqa: E402
 
 TOP = 20
 PACKAGE = str(Path(repro.__file__).resolve().parent)
@@ -101,6 +103,13 @@ def _run(workload: str, seed: int, sizes: Dict[str, int]) -> int:
 def count_calls(workload: str, seed: int, **sizes: int
                 ) -> Tuple[Dict[str, Any], List[Tuple[int, str]]]:
     """Profile one run; return its summary and counted calls per site."""
+    # A stack imports its layers where it builds them; load every layer
+    # (and a traced run's tracer and proxy) first, so that no module body
+    # runs in the profile, wherever its import sits.
+    for modules in LAYER_MODULES.values():
+        for module in modules:
+            importlib.import_module(module)
+    importlib.import_module("repro.obs.proxy")
     # A stack's processes and its simulator form reference cycles, which
     # only the collector frees; with it off, no stack is torn down (no
     # daemon generator closed, each close a counted call) in the profile.

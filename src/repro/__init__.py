@@ -23,40 +23,19 @@ Quickstart
 >>> stack.delta(snap).messages  # SCSI commands this took
 """
 
-from .core.comparison import STACK_KINDS, StorageStack, make_stack
-from .core.counters import CountersSnapshot, MessageCounters
-from .core.params import (
-    CacheParams,
-    CpuParams,
-    DiskParams,
-    Ext3Params,
-    IscsiParams,
-    NetworkParams,
-    NfsParams,
-    RaidParams,
-    TestbedParams,
-)
-from .obs import Tracer
-from .sim import Simulator
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CacheParams",
-    "CountersSnapshot",
-    "CpuParams",
-    "DiskParams",
-    "Ext3Params",
-    "IscsiParams",
-    "MessageCounters",
-    "NetworkParams",
-    "NfsParams",
-    "RaidParams",
-    "STACK_KINDS",
-    "Simulator",
-    "StorageStack",
-    "TestbedParams",
-    "Tracer",
-    "make_stack",
-    "__version__",
-]
+# The names resolve lazily (repro._lazy): ``import repro`` loads nothing
+# else, and a stack loads only the layers its kind uses.
+__all__, __getattr__ = lazy_exports(__name__, {
+    "core.comparison": ("STACK_KINDS", "StorageStack", "make_stack"),
+    "core.counters": ("CountersSnapshot", "MessageCounters"),
+    "core.params": ("CacheParams", "CpuParams", "DiskParams", "Ext3Params",
+                    "IscsiParams", "NetworkParams", "NfsParams",
+                    "RaidParams", "TestbedParams"),
+    "obs.tracer": ("Tracer",),
+    "sim": ("Simulator",),
+})
+__all__.append("__version__")

@@ -1,7 +1,13 @@
-"""Caching substrate: buffer cache, page cache, and policies."""
+"""Caching substrate: buffer cache, page cache, and policies.
 
-from .block_cache import BlockCache
-from .page_cache import Page, PageCache
-from .policies import CacheStats, LruDict
+The names resolve lazily (:mod:`repro._lazy`), so an iSCSI stack never
+loads the NFS client's page cache.
+"""
 
-__all__ = ["BlockCache", "CacheStats", "LruDict", "Page", "PageCache"]
+from .._lazy import lazy_exports
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "block_cache": ("BlockCache",),
+    "page_cache": ("Page", "PageCache"),
+    "policies": ("CacheStats", "LruDict"),
+})

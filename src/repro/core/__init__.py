@@ -1,52 +1,18 @@
 """Core: the comparison harness, counters, and testbed parameters.
 
-The comparison harness is imported lazily (PEP 562) because it sits at the
-top of the dependency graph: substrate modules import ``repro.core.params``
-and ``repro.core.counters``, and an eager import of the harness here would
-make that circular.
+The names resolve lazily (:mod:`repro._lazy`).  The comparison harness
+sits at the top of the dependency graph: substrate modules import
+``repro.core.params`` and ``repro.core.counters``, and an eager import of
+the harness here would make that circular.
 """
 
-from .counters import CountersSnapshot, MessageCounters
-from .params import (
-    CacheParams,
-    CpuParams,
-    DiskParams,
-    Ext3Params,
-    IscsiParams,
-    NetworkParams,
-    NfsParams,
-    RaidParams,
-    TestbedParams,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheParams",
-    "CountersSnapshot",
-    "CpuParams",
-    "DiskParams",
-    "Ext3Params",
-    "IscsiParams",
-    "MessageCounters",
-    "NetworkParams",
-    "NfsParams",
-    "RaidParams",
-    "STACK_KINDS",
-    "SharedNfsTestbed",
-    "StorageStack",
-    "TestbedParams",
-    "make_stack",
-]
-
-_LAZY = {"STACK_KINDS", "StorageStack", "make_stack", "SharedNfsTestbed"}
-
-
-def __getattr__(name):
-    if name == "SharedNfsTestbed":
-        from .multiclient import SharedNfsTestbed
-
-        return SharedNfsTestbed
-    if name in _LAZY:
-        from . import comparison
-
-        return getattr(comparison, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__all__, __getattr__ = lazy_exports(__name__, {
+    "counters": ("CountersSnapshot", "MessageCounters"),
+    "params": ("CacheParams", "CpuParams", "DiskParams", "Ext3Params",
+               "IscsiParams", "NetworkParams", "NfsParams", "RaidParams",
+               "TestbedParams"),
+    "comparison": ("STACK_KINDS", "StorageStack", "make_stack"),
+    "multiclient": ("SharedNfsTestbed",),
+})

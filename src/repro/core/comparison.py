@@ -23,16 +23,9 @@ from typing import Any, Generator, Optional
 
 from ..client.host import Host
 from ..fs.ext3 import Ext3Fs
-from ..fs.vfs import Vfs
-from ..iscsi.initiator import IscsiInitiator
-from ..iscsi.target import IscsiTarget
 from ..net.link import Link
 from ..net.rpc import RetransmitPolicy, RpcPeer
 from ..net.transport import DuplexTransport
-from ..nfs.client import NfsClient
-from ..nfs.server import NfsServer
-from ..obs.proxy import TracedClient
-from ..obs.tracer import Tracer
 from ..sim import Simulator
 from ..storage.raid import Raid5Volume
 from .counters import CountersSnapshot, MessageCounters
@@ -55,6 +48,10 @@ STACK_KINDS = ("nfsv2", "nfsv3", "nfsv4", "iscsi", "nfs-enhanced")
 # Ext3Fs, RpcPeer and NfsClient start simulator processes when built, so
 # the order of these calls fixes the calendar ``seq`` of each process's
 # first record: every caller keeps its construction order.
+#
+# Each protocol's modules are imported where its endpoints are built, and
+# the instruments' where they are attached, so a stack loads only the
+# layers its kind runs.
 
 
 def _server_machine(sim: Simulator, params: TestbedParams, suffix: str = "",
@@ -155,6 +152,9 @@ def _nfs_endpoints(transport: DuplexTransport, server_host: Host, fs: Ext3Fs,
     server, client peer, client)``; ``state`` is the delegation and
     cache state a server's frontends share (``None``: a fresh one).
     """
+    from ..nfs.client import NfsClient
+    from ..nfs.server import NfsServer
+
     server_rpc_name, server_name, client_rpc_name, client_name = names
     server_rpc, client_rpc = _peer_pair(
         "nfs", transport, server_host, client_host, params,
@@ -171,14 +171,17 @@ def _nfs_endpoints(transport: DuplexTransport, server_host: Host, fs: Ext3Fs,
 
 
 def _iscsi_endpoints(transport: DuplexTransport, server_host: Host,
-                     raid: Raid5Volume, target: Optional[IscsiTarget],
-                     client_host: Host, params: TestbedParams, names):
+                     raid: Raid5Volume, target, client_host: Host,
+                     params: TestbedParams, names):
     """One iSCSI connection: ``(target, initiator peer)``.
 
-    The first connection (``target=None``) builds the target over
-    ``raid``; each further MC/S connection joins it.  ``names`` is
-    ``(target peer, initiator peer)``.
+    The first connection (``target=None``) builds the
+    :class:`~repro.iscsi.target.IscsiTarget` over ``raid``; each further
+    MC/S connection joins it.  ``names`` is ``(target peer, initiator
+    peer)``.
     """
+    from ..iscsi.target import IscsiTarget
+
     target_rpc, initiator_rpc = _peer_pair(
         "iscsi", transport, server_host, client_host, params, names)
     if target is None:
@@ -236,6 +239,8 @@ class StorageStack:
         sim = self.sim
         self.tracer = None
         if trace:
+            from ..obs.proxy import TracedClient
+            from ..obs.tracer import Tracer
             self.tracer = sim.tracer = Tracer(sim)
             self.client = TracedClient(self.client, sim)
         self.telemetry = None
@@ -281,6 +286,9 @@ class StorageStack:
         return params
 
     def _build_iscsi(self) -> None:
+        from ..fs.vfs import Vfs
+        from ..iscsi.initiator import IscsiInitiator
+
         iscsi = self.params.iscsi
         if iscsi.connections < 1:
             raise ValueError("iscsi connections must be >= 1 (got %d)"

@@ -238,7 +238,3 @@ class TestbedParams:
     def with_rtt(self, rtt: float) -> "TestbedParams":
         """A copy of this testbed with a different network RTT (Fig. 6)."""
         return replace(self, network=replace(self.network, rtt=rtt))
-
-    def with_nfs_version(self, version: int) -> "TestbedParams":
-        """A copy of this testbed configured for NFS version ``version``."""
-        return replace(self, nfs=NfsParams.for_version(version))

@@ -1,41 +1,19 @@
-"""ext3-like journaling filesystem substrate."""
+"""ext3-like journaling filesystem substrate.
 
-from .alloc import ExtentAllocator, IdAllocator
-from .errors import (
-    DirectoryNotEmpty,
-    FileExists,
-    FileNotFound,
-    FsError,
-    InvalidArgument,
-    IsADirectory,
-    NoSpace,
-    NotADirectory,
-    PermissionDenied,
-)
-from .ext3 import Ext3Fs, ROOT_INO
-from .inode import FileAttributes, FileType, Inode
-from .journal import Journal
-from .layout import DiskLayout
-from .vfs import Vfs
+The names resolve lazily (:mod:`repro._lazy`): an NFS stack runs ext3
+at the server and never loads the client-side :class:`Vfs`.
+"""
 
-__all__ = [
-    "DirectoryNotEmpty",
-    "DiskLayout",
-    "ExtentAllocator",
-    "Ext3Fs",
-    "FileAttributes",
-    "FileExists",
-    "FileNotFound",
-    "FileType",
-    "FsError",
-    "IdAllocator",
-    "Inode",
-    "InvalidArgument",
-    "IsADirectory",
-    "Journal",
-    "NoSpace",
-    "NotADirectory",
-    "PermissionDenied",
-    "ROOT_INO",
-    "Vfs",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "alloc": ("ExtentAllocator", "IdAllocator"),
+    "errors": ("DirectoryNotEmpty", "FileExists", "FileNotFound", "FsError",
+               "InvalidArgument", "IsADirectory", "NoSpace", "NotADirectory",
+               "PermissionDenied"),
+    "ext3": ("Ext3Fs", "ROOT_INO"),
+    "inode": ("FileAttributes", "FileType", "Inode"),
+    "journal": ("Journal",),
+    "layout": ("DiskLayout",),
+    "vfs": ("Vfs",),
+})

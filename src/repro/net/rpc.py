@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
-from ..sim import Event, Resource, Simulator
+from ..sim import AnyOf, Event, Resource, Simulator
 from .message import Message, REPLY, REQUEST
 from .transport import Endpoint
 
@@ -172,7 +172,7 @@ class RpcPeer:
         current = request
         try:
             yield from self._charge(request.size)
-            reply_event = sim.event()
+            reply_event = Event(sim)
             self._pending[request.xid] = reply_event
             self._send(request)
             policy = self.retransmit
@@ -183,7 +183,7 @@ class RpcPeer:
             schedule = None
             while True:
                 timer = sim.lane_timeout(wait)
-                winner, reply = yield sim.any_of([reply_event, timer])
+                winner, reply = yield AnyOf(sim, [reply_event, timer])
                 if winner is reply_event:
                     if current is not request:
                         # The exchange was retransmitted: a non-idempotent
@@ -213,7 +213,7 @@ class RpcPeer:
                     span_id=request.span_id,
                 )
                 if reset:
-                    reply_event = sim.event()
+                    reply_event = Event(sim)
                     self._pending[current.xid] = reply_event
                     if san is not None:
                         san.note_issued(self, current.xid)

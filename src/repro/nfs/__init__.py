@@ -1,9 +1,15 @@
-"""NFS protocol stack: v2/v3/v4 client and server, plus pNFS striping."""
+"""NFS protocol stack: v2/v3/v4 client and server, plus pNFS striping.
 
-from . import protocol
-from .client import NfsClient
-from .pnfs import StripeLayout, StripedNfsClient
-from .server import NfsServer, ServerState
+The names resolve lazily (:mod:`repro._lazy`): an NFS stack loads the
+client, server and protocol modules but not pNFS (the shared testbed
+and the farm load it), and an iSCSI stack loads none of them.
+"""
 
-__all__ = ["NfsClient", "NfsServer", "ServerState", "StripeLayout",
-           "StripedNfsClient", "protocol"]
+from .._lazy import lazy_exports
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "client": ("NfsClient",),
+    "server": ("NfsServer", "ServerState"),
+    "pnfs": ("StripeLayout", "StripedNfsClient"),
+    "protocol": ("protocol",),
+})

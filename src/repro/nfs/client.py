@@ -30,6 +30,7 @@ mechanism the paper's analysis leans on):
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..cache.page_cache import PageCache
@@ -43,7 +44,7 @@ from ..fs.errors import (
 from ..fs.inode import FileAttributes, FileType
 from ..net.message import Message
 from ..net.rpc import RpcPeer
-from ..sim import Event, Simulator
+from ..sim import AnyOf, Event, Simulator
 from . import protocol as p
 
 __all__ = ["NfsClient"]
@@ -1015,10 +1016,10 @@ class NfsClient:
         WRITE RPCs complete.
         """
         while len(self._wb_queue) + self._wb_inflight > self._wb_backlog_limit:
-            for ino, _index in list(self._wb_queue)[: self._wb_limit]:
-                self._wb_forced.add(ino)
+            self._wb_forced.update(
+                ino for ino, _index in islice(self._wb_queue, self._wb_limit))
             self._kick_wb()
-            gate = self.sim.event()
+            gate = Event(self.sim)
             self._wb_drain_waiters.append((None, gate))
             yield gate
         return None
@@ -1027,7 +1028,7 @@ class NfsClient:
         wsize_pages = max(1, self.params.pages_per_flush_rpc)
         while True:
             if not self._wb_queue:
-                self._wb_kick = self.sim.event()
+                self._wb_kick = Event(self.sim)
                 yield self._wb_kick
                 continue
             # Forced inos (fsync/close/throttle) jump the aging queue.
@@ -1043,9 +1044,9 @@ class NfsClient:
                 # Sleep until the head page matures — but wake early when
                 # someone forces a flush.  The floor keeps float rounding
                 # from producing a zero-length (livelocking) timeout.
-                self._wb_kick = self.sim.event()
+                self._wb_kick = Event(self.sim)
                 timer = self.sim.timeout(max(self.writeback_delay - age, 1e-6))
-                yield self.sim.any_of([timer, self._wb_kick])
+                yield AnyOf(self.sim, [timer, self._wb_kick])
                 continue
             if ino in self._deleg_unreplayed:
                 # The file's create has not been replayed yet: ship the
@@ -1060,7 +1061,7 @@ class NfsClient:
                 pages.append(pages[-1] + 1)
                 del self._wb_queue[(ino, pages[-1])]
             while self._wb_inflight >= self._wb_limit:
-                gate = self.sim.event()
+                gate = Event(self.sim)
                 self._wb_drain_waiters.append((None, gate))
                 yield gate
             self._wb_inflight += 1

@@ -42,15 +42,15 @@ streaming collector as ``stack.telemetry``.  Every instrument hangs off
 one attachment point, the simulator slot of the same name
 (``sim.tracer``, ``sim.telemetry``), which is ``None`` when off.
 
-The names below resolve lazily (PEP 562), so ``import repro`` loads
-only the tracer and the syscall proxy that every stack needs; the
-analysis, benchmark and dashboard modules load on first use.
+The names below resolve lazily (:mod:`repro._lazy`), so neither
+``import repro`` nor an untraced stack loads any of these modules: a
+traced stack loads the tracer and the syscall proxy, and the analysis,
+benchmark and dashboard modules load on first use.
 """
 
-import importlib
+from .._lazy import lazy_exports
 
-# Submodule -> the names it exports here.
-_SOURCES = {
+__all__, __getattr__ = lazy_exports(__name__, {
     "tracer": ("LatencyHistogram", "MessageEvent", "PointEvent", "Span",
                "Tracer"),
     "proxy": ("SYSCALL_NAMES", "TracedClient"),
@@ -69,13 +69,4 @@ _SOURCES = {
     "telemetry": ("SeriesRollup", "Telemetry", "TelemetryFinding",
                   "merge_rollups", "merge_snapshots"),
     "dashboard": ("render_dashboard", "render_html", "write_html"),
-}
-_LAZY = {name: module for module, names in _SOURCES.items() for name in names}
-__all__ = list(_LAZY)
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(importlib.import_module("." + module, __name__), name)
+})

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.comparison import make_stack
 from .profile import Profile
 
 __all__ = [
@@ -213,10 +214,6 @@ def run_case_stack(workload: str, kind: str, san: bool = False,
     record for the headline figures and the live tracer for per-op
     message drift.  The record is the one :func:`run_case` would return.
     """
-    # Imported lazily: repro.obs must stay importable while
-    # repro.core.comparison (which imports repro.obs) initializes.
-    from ..core.comparison import make_stack
-
     stack = make_stack(kind, trace=True, san=san, telemetry=telemetry)
     snap = stack.snapshot()
     start = stack.now

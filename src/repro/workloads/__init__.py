@@ -1,39 +1,19 @@
-"""Workload generators for every experiment in the paper's evaluation."""
+"""Workload generators for every experiment in the paper's evaluation.
 
-from .kernel_tree import KernelTreeOps, KernelTreeResult, TreeSpec
-from .microbench import (
-    BATCH_OPS,
-    SYSCALL_OPS,
-    SyscallMicrobench,
-    run_batching_sweep,
-    run_depth_sweep,
-    run_io_size_sweep,
-    run_syscall_table,
-)
-from .postmark import PostMark, PostmarkResult
-from .seqrand import IoResult, SeqRandWorkload, run_latency_sweep, run_table4
-from .tpcc import OltpResult, TpccWorkload
-from .tpch import DssResult, TpchWorkload
+The names resolve lazily (:mod:`repro._lazy`): a run loads the modules
+of the workloads it uses and no other.
+"""
 
-__all__ = [
-    "BATCH_OPS",
-    "DssResult",
-    "IoResult",
-    "KernelTreeOps",
-    "KernelTreeResult",
-    "OltpResult",
-    "PostMark",
-    "PostmarkResult",
-    "SYSCALL_OPS",
-    "SeqRandWorkload",
-    "SyscallMicrobench",
-    "TpccWorkload",
-    "TpchWorkload",
-    "TreeSpec",
-    "run_batching_sweep",
-    "run_depth_sweep",
-    "run_io_size_sweep",
-    "run_latency_sweep",
-    "run_syscall_table",
-    "run_table4",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "kernel_tree": ("KernelTreeOps", "KernelTreeResult", "TreeSpec"),
+    "microbench": ("BATCH_OPS", "SYSCALL_OPS", "SyscallMicrobench",
+                   "run_batching_sweep", "run_depth_sweep",
+                   "run_io_size_sweep", "run_syscall_table"),
+    "postmark": ("PostMark", "PostmarkResult"),
+    "seqrand": ("IoResult", "SeqRandWorkload", "run_latency_sweep",
+                "run_table4"),
+    "tpcc": ("OltpResult", "TpccWorkload"),
+    "tpch": ("DssResult", "TpchWorkload"),
+})

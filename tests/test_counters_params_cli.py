@@ -142,11 +142,6 @@ def test_params_with_rtt_is_nondestructive():
     assert base.network.rtt != 0.050
 
 
-def test_params_with_nfs_version():
-    params = TestbedParams().with_nfs_version(2)
-    assert params.nfs.version == 2
-
-
 # ---------------------------------------------------------------- cli
 
 def test_cli_parser_knows_all_artifacts():
