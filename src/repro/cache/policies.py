@@ -83,12 +83,6 @@ class LruDict(Generic[K, V]):
         """Remove and return ``key``'s value, or None."""
         return self._data.pop(key, None)
 
-    def pop_lru(self) -> Optional[Tuple[K, V]]:
-        """Remove and return the least-recently-used entry, or None."""
-        if not self._data:
-            return None
-        return self._data.popitem(last=False)
-
     def clear(self) -> None:
         """Drop every entry."""
         self._data.clear()

@@ -108,10 +108,6 @@ class Inode:
 
     # -- block map helpers (regular files) -------------------------------------
 
-    def blocks_needed_for(self, size: int, block_size: int) -> int:
-        """Number of blocks a file of ``size`` bytes occupies."""
-        return (size + block_size - 1) // block_size
-
     def map_block_index(self, logical: int) -> Optional[int]:
         """Which pointer-block (by list index) covers ``logical``; None if direct."""
         if logical < DIRECT_BLOCKS:

@@ -1117,21 +1117,6 @@ class NfsClient:
             return False
         return not any(key[0] == ino for key in self._wb_queue)
 
-    def _force_flush(self, ino: int) -> None:
-        self._wb_forced.add(ino)
-        self._kick_wb()
-        self.sim.spawn(self._commit_after_drain(ino), name=self.name + ".commit")
-
-    def _commit_after_drain(self, ino: int) -> Generator:
-        yield from self._wait_ino_quiet(ino)
-        if ino in self._uncommitted and self.params.version >= 3:
-            self._uncommitted.discard(ino)
-            try:
-                yield from self._call(p.COMMIT, ino=ino)
-            except FileNotFound:
-                pass  # the file was removed while its commit was queued
-        return None
-
     def _wait_ino_quiet(self, ino: int) -> Generator:
         while not self._ino_quiet(ino):
             gate = self.sim.event()
@@ -1196,19 +1181,6 @@ class NfsClient:
     # ======================================================================
     # Section-7: directory delegation
     # ======================================================================
-
-    def acquire_directory_delegation(self, path: str) -> Generator:
-        """Coroutine: obtain a delegation (and ino grant) for ``path``."""
-        if not self.params.directory_delegation:
-            raise InvalidArgument("directory delegation is disabled")
-        ino = yield from self._resolve(path)
-        reply = yield from self._call(p.DELEGDIR, ino=ino, reserve=4096)
-        if not reply.body.get("granted"):
-            return False
-        lo, hi = reply.body["ino_range"]
-        self._deleg_ino_pool.extend(range(lo, hi + 1))
-        self._deleg_dirs.add(ino)
-        return True
 
     def _ensure_replayed(self, ino: int) -> Generator:
         """Flush pending delegated records before a server op that needs

@@ -393,9 +393,12 @@ TABLE4 = Artifact(
               "iSCSI random writes take over twice its sequential writes' "
               "time (paper: 5 s vs 2 s)", _pair(_cells_table4(16)),
               _check_rand_write,
-              deviation="the simulated allocator lays randomly written "
-                        "blocks out contiguously, so their flush costs "
-                        "what a sequential flush costs"),
+              deviation="the clock stops when close returns, before the "
+                        "flush, so the timed writes only dirty the client "
+                        "cache; timed through the flush the two orders "
+                        "still match, as ext3 gives a new file's blocks "
+                        "out in write order and the flush sorts the dirty "
+                        "set"),
     ))
 
 

@@ -37,7 +37,11 @@ the records whose order is not known when they are scheduled:
   pushes the next.  A lane record is an event record whose payload is
   its lane.  The RPC retransmission timers are the one user: each call
   arms one, and it stays pending for a second after the reply, so on
-  the heap they were nearly all of an NFS run's pending records.
+  the heap they were nearly all of an NFS run's pending records.  An
+  answered timer pins only itself: the call's fired ``AnyOf`` took its
+  callback off the timer, so the combinator, the reply event and the
+  reply message are freed when the call returns, and the timer's record
+  wakes nobody when it is dispatched.
 
 The loop takes the FIFO head unless the heap top compares smaller on
 the same ``(when, seq)`` key (a ``timeout(0)``, or a record stamped now
@@ -318,10 +322,6 @@ class Process(Event):
         sim._sequence = seq = sim._sequence + 1
         sim._fifo.append((sim.now, seq, _KIND_RESUME, self, None))
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     # -- internal stepping ---------------------------------------------------
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
@@ -385,6 +385,13 @@ class AnyOf(Event):
 
     The value is ``(event, value)`` for the first event to fire.  Failures
     of the winning event propagate; failures of losers are defused.
+
+    Once fired, the combinator lets go of the losers still pending: it
+    takes its callback off each one's waiter list and defuses it, which
+    is all the callback would have done when the loser fired.  A fired
+    ``AnyOf`` keeps its ``events`` and its value, and no pending loser
+    keeps it: an answered call's retransmission timer no longer holds the
+    combinator, the reply event and the reply for the rest of its delay.
     """
 
     __slots__ = ("events",)
@@ -399,6 +406,8 @@ class AnyOf(Event):
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
+            # A duplicate child, or one processed before construction
+            # whose late callback record comes after the firing.
             if event.ok is False:
                 event.defused = True
             return
@@ -407,13 +416,30 @@ class AnyOf(Event):
         else:
             event.defused = True
             self.fail(event.value)
+        # Let go of the pending losers.  An index loop and a del, not
+        # list.remove: no call per loser.
+        on_child = self._on_child
+        for child in self.events:
+            waiters = child._callbacks
+            if waiters is not None:
+                child.defused = True
+                index = 0
+                for waiter in waiters:
+                    if waiter == on_child:
+                        del waiters[index]
+                        break
+                    index += 1
 
 
 class AllOf(Event):
     """Triggers when every one of ``events`` has triggered successfully.
 
     The value is the list of child values in construction order.  The first
-    child failure fails the combinator.
+    child failure fails the combinator, which then lets go of the children
+    still pending as a fired :class:`AnyOf` does: it takes its callback
+    off their waiter lists and defuses them.  A fired ``AllOf`` keeps its
+    ``events`` and its value (or failure); a successful one has no
+    pending child left, and a failed one is held by none.
     """
 
     __slots__ = ("events", "_pending")
@@ -436,6 +462,18 @@ class AllOf(Event):
         if event.ok is False:
             event.defused = True
             self.fail(event.value)
+            # Let go of the pending children, as AnyOf._on_child does.
+            on_child = self._on_child
+            for child in self.events:
+                waiters = child._callbacks
+                if waiters is not None:
+                    child.defused = True
+                    index = 0
+                    for waiter in waiters:
+                        if waiter == on_child:
+                            del waiters[index]
+                            break
+                        index += 1
             return
         self._pending -= 1
         if self._pending == 0:

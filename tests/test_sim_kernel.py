@@ -222,6 +222,93 @@ def test_all_of_empty_triggers_immediately(sim):
     assert sim.run_process(main()) == []
 
 
+def _holds(event, combinator):
+    """Whether ``event``'s waiter list holds ``combinator``'s callback."""
+    return any(getattr(waiter, "__self__", None) is combinator
+               for waiter in event._callbacks)
+
+
+@pytest.mark.parametrize("first", ["event", "timer"])
+def test_fired_any_of_lets_go_of_its_pending_children(sim, first):
+    # One child listed twice, and a timer: whichever fires first, the
+    # pending loser's waiter list keeps nothing of the combinator.
+    event = sim.event()
+    timer = sim.timeout(2.0)
+    any_of = sim.any_of([event, event, timer])
+    sim._schedule_call1(event.trigger, "e", 1.0 if first == "event" else 3.0)
+    sim.run(until=2.5 if first == "timer" else 1.5)
+    winner, loser = (event, timer) if first == "event" else (timer, event)
+    assert any_of.value[0] is winner
+    assert loser._callbacks == []
+    assert loser.defused
+    sim.run()
+    assert loser._callbacks is None
+
+
+def test_shared_loser_is_let_go_only_by_the_any_of_that_fired(sim):
+    a, b = sim.event(), sim.event()
+    timer = sim.timeout(2.0)
+    first = sim.any_of([a, timer])
+    second = sim.any_of([b, timer])
+    sim._schedule_call1(a.trigger, "a", 1.0)
+    sim.run(until=1.5)
+    assert first.value == (a, "a")
+    assert not _holds(timer, first)
+    assert _holds(timer, second)
+    assert _holds(b, second)
+    sim.run()
+    assert second.value == (timer, None)
+
+
+@pytest.mark.parametrize("loser", ["event", "process"])
+def test_a_loser_that_fails_after_the_any_of_fired_is_defused(sim, loser):
+    # The defusal guard: letting go keeps the loser's failure quiet, as
+    # the callback did when it still ran.
+    if loser == "event":
+        child = sim.event()
+        sim._schedule_call1(child.fail, ValueError("late"), 2.0)
+    else:
+        def doomed():
+            yield sim.timeout(2.0)
+            raise ValueError("late")
+        child = sim.spawn(doomed())
+    any_of = sim.any_of([sim.timeout(1.0, "t"), child])
+    sim.run()
+    assert any_of.value[1] == "t"
+    assert child.ok is False
+    assert child.defused
+
+
+def test_failed_all_of_lets_go_of_its_pending_children(sim):
+    first, later = sim.event(), sim.event()
+    timer = sim.timeout(3.0)
+
+    def doomed():
+        yield sim.timeout(2.0)
+        raise ValueError("doomed")
+
+    proc = sim.spawn(doomed())
+    all_of = sim.all_of([first, later, timer, proc])
+    sim._schedule_call1(first.fail, ValueError("first"), 1.0)
+    sim._schedule_call1(later.fail, ValueError("later"), 2.5)
+
+    def waiter():
+        try:
+            yield all_of
+        except ValueError as exc:
+            return str(exc)
+
+    caught = sim.spawn(waiter())
+    sim.run(until=1.5)
+    assert caught.value == "first"
+    for child in (later, timer, proc):
+        assert child._callbacks == []
+        assert child.defused
+    # Their later failures are defused: the run ends without raising.
+    sim.run()
+    assert later.ok is False and proc.ok is False
+
+
 def test_run_until_stops_clock(sim):
     def forever():
         while True:
